@@ -352,14 +352,17 @@ def check_divisibility_properties(f: Callable[[int], int], max_n: int) -> Divisi
             raise ValueError(f"map produced {m!r} at n={n}; expected an integer >= 1")
         values.append(m)
 
+    # walk the multiples n of each m; the first failure is the smallest n,
+    # then the smallest m, so a later m only looks below the best n so far
     divides = ClaimResult(True)
-    for n in range(1, max_n + 1):
-        for m in range(1, n + 1):
-            if n % m == 0 and values[n] % values[m] != 0:
+    first_n = max_n + 1
+    for m in range(1, max_n + 1):
+        fm = values[m]
+        for n in range(m, first_n, m):
+            if values[n] % fm != 0:
                 divides = ClaimResult(False, (m, n))
+                first_n = n
                 break
-        if not divides.holds:
-            break
 
     coprime_lcm = ClaimResult(True)
     for m in range(1, max_n + 1):

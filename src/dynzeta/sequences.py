@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .arith import divisors, moebius
+from .arith import primes_up_to
 
 __all__ = [
     "SIGN",
@@ -80,18 +80,26 @@ def _validate_counts(entries: Sequence[int], what: str = "sequence") -> None:
 
 
 def mobius_transform(entries: Sequence[int]) -> list[int]:
-    """b_n = sum over d | n of mu(n/d) * a_d, for n = 1..N. May be negative."""
+    """b_n = sum over d | n of mu(n/d) * a_d, for n = 1..N. May be negative.
+
+    The transform is the product over primes p of (1 - S_p), where S_p moves
+    the entry at m to m * p. It is applied as an in-place sieve on a copy of
+    the entries: for each prime p <= N, walking m from N // p down to 1,
+    b_{m p} -= b_m. Walking down reads every b_m before this prime's step
+    changes it. That is O(N log log N) integer subtractions, with no
+    factorization.
+    """
     _validate_counts(entries)
+    out = [0, *entries]  # 1-based
     n_max = len(entries)
-    out = []
-    for n in range(1, n_max + 1):
-        out.append(sum(moebius(n // d) * entries[d - 1] for d in divisors(n)))
+    for p in primes_up_to(n_max):
+        for m in range(n_max // p, 0, -1):
+            out[m * p] -= out[m]
+    del out[0]
     return out
 
 
-def check_realizable(entries: Sequence[int]) -> RealizabilityVerdict:
-    """Check the sign condition and the Dold congruence on a prefix."""
-    transformed = mobius_transform(entries)
+def _verdict(transformed: Sequence[int]) -> RealizabilityVerdict:
     for n, b in enumerate(transformed, start=1):
         if b < 0:
             return RealizabilityVerdict(SIGN, n, b)
@@ -100,22 +108,38 @@ def check_realizable(entries: Sequence[int]) -> RealizabilityVerdict:
     return RealizabilityVerdict()
 
 
+def check_realizable(entries: Sequence[int]) -> RealizabilityVerdict:
+    """Check the sign condition and the Dold congruence on a prefix."""
+    return _verdict(mobius_transform(entries))
+
+
 def orbit_counts(entries: Sequence[int]) -> list[int]:
     """Closed-orbit counts O_n = b_n / n of a realizable prefix.
 
     Raises RealizabilityError (carrying the verdict) if the prefix fails.
     """
-    verdict = check_realizable(entries)
+    transformed = mobius_transform(entries)
+    verdict = _verdict(transformed)
     if not verdict.passed:
         raise RealizabilityError(verdict)
-    return [b // n for n, b in enumerate(mobius_transform(entries), start=1)]
+    return [b // n for n, b in enumerate(transformed, start=1)]
 
 
 def fix_from_orbits(counts: Sequence[int]) -> list[int]:
-    """Fixed-point counts a_n = sum over d | n of d * O_d of an orbit multiset."""
+    """Fixed-point counts a_n = sum over d | n of d * O_d of an orbit multiset.
+
+    Each orbit length d adds d * O_d to every multiple of d.
+    """
     _validate_counts(counts, "orbit counts")
     n_max = len(counts)
-    return [sum(d * counts[d - 1] for d in divisors(n)) for n in range(1, n_max + 1)]
+    out = [0] * (n_max + 1)  # 1-based
+    for d, count in enumerate(counts, start=1):
+        if count:
+            weight = d * count
+            for n in range(d, n_max + 1, d):
+                out[n] += weight
+    del out[0]
+    return out
 
 
 def reg(k: int, length: int) -> list[int]:

@@ -1,20 +1,36 @@
 """Truncated formal power series over exact rationals, and the zeta side of
 fixed-point counting.
 
-The zeta series of a count sequence (a_n) is exp(sum a_n z^n / n). Both
-directions are computed by derivative recurrences rather than term-by-term
-composition:
+The zeta series of a count sequence (a_n) is F = exp(sum a_n z^n / n). Since
+z F' = F * sum a_n z^n, its coefficients obey Newton's identity
+
+    n * F_n = sum_{k=1..n} a_k * F_{n-k}        (F_0 = 1)
+
+and both directions run on it directly:
+
+    zeta_from_fix: F_n = (sum_{k=1..n} a_k * F_{n-k}) / n
+    fix_from_zeta: a_n = n * F_n - sum_{k<n} a_k * F_{n-k}
+
+Integers first: the counts a_n are integers, so each sum is an integer as
+long as the coefficients it reads are. zeta_from_fix divides with divmod and
+keeps F_n an int when n divides the sum, falling back to fractions.Fraction
+only when a remainder appears. fix_from_zeta holds every integral F_n as an
+int and only the others as Fraction, so a_n is computed on ints until a
+non-integral coefficient enters its sum. The general log and exp of a series
+(log_series, exp_series, series_pow) use the derivative recurrences
 
     exp: n * F_n = sum_{k=1..n} k * G_k * F_{n-k}        (F = exp G, G_0 = 0)
     log: n * L_n = n * F_n - sum_{k<n} k * L_k * F_{n-k} (L = log F, F_0 = 1)
 
-All coefficients are fractions.Fraction; nothing ever rounds.
+on Fraction coefficients. Every coefficient a Series holds is a
+fractions.Fraction; nothing ever rounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Sequence
 
 from .sequences import RealizabilityVerdict, check_realizable
@@ -185,10 +201,11 @@ def zeta_from_fix(source: FixSource, order: int) -> Series:
     if order < 0:
         raise ValueError("order must be >= 0")
     a = [source.value(n) for n in range(1, order + 1)]
-    coeffs = [Fraction(1)]
+    coeffs = [1]
     for n in range(1, order + 1):
-        acc = sum(a[k - 1] * coeffs[n - k] for k in range(1, n + 1))
-        coeffs.append(Fraction(acc, n))
+        acc = sum(map(mul, a, reversed(coeffs)))
+        q, r = divmod(acc, n)
+        coeffs.append(Fraction(acc, n) if r else q)
     return Series(tuple(coeffs))
 
 
@@ -221,18 +238,21 @@ def fix_from_zeta(f: Series) -> list[int]:
 
     Raises ConstantTermNotOne, NonIntegerLogCoefficient or NegativeCount
     (each carrying the first offending index) when f is not a zeta prefix.
+    At equal index a non-integral a_n is reported before a negative one.
     """
     if f.coeffs[0] != 1:
         raise ConstantTermNotOne(
             f"constant term is {f.coeffs[0]}, a zeta series starts at 1"
         )
-    logs = log_series(f).coeffs
+    # integral coefficients as ints; a_n is a Fraction only when some F_k
+    # with k <= n is not an integer
+    c = [x.numerator if x.denominator == 1 else x for x in f.coeffs]
     out = []
     for n in range(1, f.order + 1):
-        a = n * logs[n]
+        a = n * c[n] - sum(map(mul, out, reversed(c[1:n])))
         if a.denominator != 1:
             raise NonIntegerLogCoefficient(f"a_{n} = {a} is not an integer", n)
-        a = int(a)
+        a = a.numerator
         if a < 0:
             raise NegativeCount(f"a_{n} = {a} is negative", n)
         out.append(a)

@@ -4,11 +4,14 @@ Everything here is deliberately brute force and shares no code path with the
 library: the Moebius function comes from its defining recursion, orbit counts
 from enumerating strings, products from integer Cauchy convolution, powers
 from the generalized binomial series, and realizability from greedily
-building an orbit multiset.
+building an orbit multiset. The zeta recurrences on Fraction and the quadratic
+divisibility scan are the reference versions of the library's integer and
+multiples-walk kernels.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 import random
 
 
@@ -154,3 +157,82 @@ def random_valid_spec_tables(rng: random.Random, primes, max_len: int = 5,
             values.append(eventual)
             out[p] = ("bounded", values)
     return out
+
+
+def fraction_zeta(entries, order):
+    """Zeta coefficients F_0..F_order of exp(sum a_n z^n / n) by the Fraction
+    recurrence n * F_n = sum_{k=1..n} a_k * F_{n-k}."""
+    coeffs = [Fraction(1)]
+    for n in range(1, order + 1):
+        acc = sum(entries[k - 1] * coeffs[n - k] for k in range(1, n + 1))
+        coeffs.append(Fraction(acc, n))
+    return coeffs
+
+
+def log_fix_from_zeta(coeffs):
+    """Counts a_n = n * [z^n] log F read off the Fraction log recurrence.
+
+    Returns (counts, None), or (None, (reason, index)) for the first failure:
+    a constant term other than 1 (index None), then at the smallest n a
+    non-integral a_n before a negative one.
+    """
+    coeffs = [Fraction(c) for c in coeffs]
+    if coeffs[0] != 1:
+        return None, ("constant_term_not_one", None)
+    logs = [Fraction(0)]
+    for n in range(1, len(coeffs)):
+        acc = n * coeffs[n] - sum(k * logs[k] * coeffs[n - k] for k in range(1, n))
+        logs.append(acc / n)
+    counts = []
+    for n in range(1, len(coeffs)):
+        a = n * logs[n]
+        if a.denominator != 1:
+            return None, ("non_integer_log_coefficient", n)
+        if a < 0:
+            return None, ("negative_count", n)
+        counts.append(int(a))
+    return counts, None
+
+
+def _prime_powers(n):
+    out = {}
+    q = 2
+    while q * q <= n:
+        while n % q == 0:
+            out[q] = out.get(q, 0) + 1
+            n //= q
+        q += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def divisibility_counterexamples(values):
+    """First counterexample (or None) to each divisibility law on the map
+    n -> values[n - 1], scanning n = 1..N and, for each n, every m <= n.
+
+    divides: (m, n) with m | n and f(m) not dividing f(n), smallest n then m.
+    coprime_lcm: (m, n), m < n coprime, f(mn) != lcm(f(m), f(n)), smallest m then n.
+    prime_support: (q, n), q prime, v_q(f(n)) > v_q(f(1)), q not dividing n,
+    smallest n then q.
+    """
+    f = [0, *values]
+    n_max = len(values)
+    divides = next(
+        ((m, n) for n in range(1, n_max + 1) for m in range(1, n + 1)
+         if n % m == 0 and f[n] % f[m] != 0),
+        None,
+    )
+    coprime_lcm = next(
+        ((m, n) for m in range(1, n_max + 1) for n in range(m + 1, n_max // m + 1)
+         if gcd(m, n) == 1 and f[m * n] != f[m] * f[n] // gcd(f[m], f[n])),
+        None,
+    )
+    base = _prime_powers(f[1])
+    prime_support = next(
+        ((q, n) for n in range(1, n_max + 1)
+         for q, e in sorted(_prime_powers(f[n]).items())
+         if e > base.get(q, 0) and n % q != 0),
+        None,
+    )
+    return {"divides": divides, "coprime_lcm": coprime_lcm, "prime_support": prime_support}

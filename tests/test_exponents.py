@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from dynzeta.exponents import (
     ExponentFunction,
@@ -16,7 +17,7 @@ from dynzeta.exponents import (
 from dynzeta.sequences import DOLD, SIGN, RealizabilityVerdict
 from dynzeta.words import Generator, Word, eval_generator, eval_range, random_word
 
-from oracles import random_valid_spec_tables
+from oracles import divisibility_counterexamples, random_valid_spec_tables
 
 B, C = Generator.bump, Generator.cap
 
@@ -203,6 +204,50 @@ class TestDivisibilityClaims:
     def test_successor_fails_divides(self):
         report = check_divisibility_properties(lambda n: n + 1, 10)
         assert not report.divides.holds
+
+
+def _counterexamples(values):
+    report = check_divisibility_properties(lambda n: values[n - 1], len(values))
+    claims = {
+        "divides": report.divides,
+        "coprime_lcm": report.coprime_lcm,
+        "prime_support": report.prime_support,
+    }
+    for claim in claims.values():
+        assert claim.holds == (claim.counterexample is None)
+    return {name: claim.counterexample for name, claim in claims.items()}
+
+
+class TestDivisibilityAgainstQuadraticScan:
+    @pytest.mark.parametrize(
+        "f, law, witness",
+        [
+            (lambda n: n + 1, "divides", (1, 2)),
+            (lambda n: 7 if n == 6 else n, "divides", (2, 6)),
+            (lambda n: n**n, "coprime_lcm", (2, 3)),
+            (lambda n: 3 * n if n > 1 else 1, "prime_support", (3, 2)),
+        ],
+    )
+    def test_each_law_violated(self, f, law, witness):
+        values = [f(n) for n in range(1, 41)]
+        got = _counterexamples(values)
+        assert got == divisibility_counterexamples(values)
+        assert got[law] == witness
+
+    def test_only_prime_support_fails(self):
+        values = [3 * n if n > 1 else 1 for n in range(1, 61)]
+        assert _counterexamples(values) == {
+            "divides": None, "coprime_lcm": None, "prime_support": (3, 2)
+        }
+
+    @given(st.lists(st.integers(min_value=1, max_value=24), min_size=1, max_size=60))
+    def test_random_maps(self, values):
+        assert _counterexamples(values) == divisibility_counterexamples(values)
+
+    @given(st.integers(min_value=2, max_value=300), st.integers(min_value=1, max_value=7))
+    def test_one_corrupted_value_of_identity(self, where, factor):
+        values = [n * factor if n == where else n for n in range(1, 301)]
+        assert _counterexamples(values) == divisibility_counterexamples(values)
 
 
 class TestValidSpecsBehaveLikeMembers:

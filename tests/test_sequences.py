@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dynzeta.sequences import (
     DOLD,
@@ -44,6 +44,29 @@ def test_mobius_transform_idempotent_looking_example():
 @given(counts_lists)
 def test_mobius_transform_matches_oracle(entries):
     assert mobius_transform(entries) == divisor_sum_transform(entries)
+
+
+def _long_huge_entries(seed: int, length: int) -> list[int]:
+    rng = random.Random(seed)
+    return [(1 << 10000) + rng.getrandbits(10000) for _ in range(length)]
+
+
+def test_mobius_sieve_matches_oracle_long_and_huge():
+    entries = _long_huge_entries(3, 1105)
+    assert mobius_transform(entries) == divisor_sum_transform(entries)
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(min_value=1001, max_value=1300), st.integers(min_value=0, max_value=2**32))
+def test_mobius_sieve_matches_oracle_above_1000_terms(length, seed):
+    entries = _long_huge_entries(seed, length)
+    assert mobius_transform(entries) == divisor_sum_transform(entries)
+
+
+def test_mobius_transform_leaves_input_alone():
+    entries = [2, 4, 8, 16]
+    mobius_transform(entries)
+    assert entries == [2, 4, 8, 16]
 
 
 def test_check_realizable_dold_failure():
@@ -98,6 +121,28 @@ def test_orbit_counts_rejects_unrealizable_with_verdict():
     with pytest.raises(RealizabilityError) as err:
         orbit_counts([0, 0, 0, 8, 0, 8])
     assert err.value.verdict == RealizabilityVerdict(DOLD, 6, 8)
+
+
+@given(counts_lists)
+def test_orbit_counts_verdict_is_check_realizable(entries):
+    verdict = check_realizable(entries)
+    if verdict.passed:
+        assert [n * c for n, c in enumerate(orbit_counts(entries), start=1)] == (
+            mobius_transform(entries)
+        )
+    else:
+        with pytest.raises(RealizabilityError) as err:
+            orbit_counts(entries)
+        assert err.value.verdict == verdict
+
+
+@given(st.lists(st.integers(min_value=0, max_value=2**70), min_size=1, max_size=60))
+def test_fix_from_orbits_matches_divisor_sum(counts):
+    expected = [
+        sum(d * counts[d - 1] for d in range(1, n + 1) if n % d == 0)
+        for n in range(1, len(counts) + 1)
+    ]
+    assert fix_from_orbits(counts) == expected
 
 
 def test_fix_from_orbits_single_orbit_is_reg():

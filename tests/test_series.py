@@ -2,12 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dynzeta.sequences import check_realizable, disjoint_union, fix_from_orbits
 from dynzeta.series import (
     ConstantTermNotOne,
     FixSource,
+    InversionError,
     NegativeCount,
     NonIntegerLogCoefficient,
     Series,
@@ -23,7 +24,13 @@ from dynzeta.series import (
     zeta_from_fix,
 )
 
-from oracles import binomial_power, euler_product, random_orbit_counts
+from oracles import (
+    binomial_power,
+    euler_product,
+    fraction_zeta,
+    log_fix_from_zeta,
+    random_orbit_counts,
+)
 
 
 def ints(series):
@@ -80,6 +87,41 @@ class TestZetaFromFix:
             assert ints(series) == euler_product(counts, 32)
 
 
+    @given(st.lists(st.integers(min_value=0, max_value=2**80), min_size=1, max_size=40))
+    def test_matches_fraction_recurrence_on_any_counts(self, entries):
+        # realizable or not, so remainders and the Fraction fallback show up
+        series = zeta_from_fix(FixSource.table(entries), len(entries))
+        assert list(series.coeffs) == fraction_zeta(entries, len(entries))
+
+    @pytest.mark.parametrize(
+        "source", [FixSource.geometric(3), FixSource.single_orbit(4), FixSource.constant(2)]
+    )
+    def test_matches_fraction_recurrence_on_sources(self, source):
+        series = zeta_from_fix(source, 80)
+        assert list(series.coeffs) == fraction_zeta(source.prefix(80), 80)
+
+    def test_one_fixed_point_is_exp(self):
+        # the table [1, 0, 0, ...] has zeta exp(z), whose coefficients are 1/n!
+        series = zeta_from_fix(FixSource.table([1] + [0] * 11), 12)
+        factorial = 1
+        expected = [Fraction(1)]
+        for n in range(1, 13):
+            factorial *= n
+            expected.append(Fraction(1, factorial))
+        assert list(series.coeffs) == expected
+
+
+def _corrupt(coeffs, kind, index, amount):
+    coeffs = list(coeffs)
+    if kind == "constant":
+        coeffs[0] += amount
+    elif kind == "fraction":
+        coeffs[index] += Fraction(1, amount + 1)
+    else:
+        coeffs[index] -= amount * (abs(coeffs[index]) + 1) * 10**6
+    return Series(tuple(coeffs))
+
+
 class TestFixFromZeta:
     def test_rejects_constant_term(self):
         doubled = Series.of([2, 4, 8, 16])
@@ -110,6 +152,65 @@ class TestFixFromZeta:
         # holds for every non-negative integer sequence, realizable or not
         series = zeta_from_fix(FixSource.table(entries), len(entries))
         assert fix_from_zeta(series) == entries
+
+    def test_exp_round_trips_through_fractions(self):
+        entries = [1] + [0] * 29
+        series = zeta_from_fix(FixSource.table(entries), 30)
+        assert not series.is_integral()
+        assert fix_from_zeta(series) == entries
+        verdict = is_zeta(series)
+        assert (verdict.reason, verdict.index) == ("sign", 2)
+
+    def test_non_integral_zeta_of_big_counts_round_trips(self):
+        entries = [3**200 + 1, 0, 5, 2**300, 7]
+        series = zeta_from_fix(FixSource.table(entries), 5)
+        assert not series.is_integral()
+        assert fix_from_zeta(series) == entries
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(st.integers(min_value=0, max_value=40), min_size=2, max_size=30),
+        st.sampled_from(["constant", "fraction", "negative"]),
+        st.integers(min_value=1, max_value=29),
+        st.integers(min_value=1, max_value=5),
+    )
+    def test_corrupted_series_match_log_path(self, entries, kind, index, amount):
+        index = min(index, len(entries))
+        genuine = fraction_zeta(entries, len(entries))
+        series = _corrupt(genuine, kind, index, amount)
+        counts, failure = log_fix_from_zeta(series.coeffs)
+        verdict = is_zeta(series)
+        if failure is None:
+            assert fix_from_zeta(series) == counts
+            assert verdict.reason in (None, "sign", "dold")
+        else:
+            with pytest.raises(InversionError) as err:
+                fix_from_zeta(series)
+            assert (err.value.reason, err.value.index) == failure
+            assert (verdict.passed, verdict.reason, verdict.index) == (False, *failure)
+
+    @given(
+        st.lists(
+            st.fractions(min_value=-50, max_value=50, max_denominator=4),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    def test_arbitrary_rational_series_match_log_path(self, tail):
+        series = Series.of([1, *tail])
+        counts, failure = log_fix_from_zeta(series.coeffs)
+        if failure is None:
+            assert fix_from_zeta(series) == counts
+        else:
+            with pytest.raises(InversionError) as err:
+                fix_from_zeta(series)
+            assert (err.value.reason, err.value.index) == failure
+
+    def test_non_integral_reported_before_negative_at_equal_index(self):
+        # a_1 = -1/2 is both negative and non-integral
+        with pytest.raises(NonIntegerLogCoefficient) as err:
+            fix_from_zeta(Series.of([1, Fraction(-1, 2), 0]))
+        assert err.value.index == 1
 
 
 class TestSeriesAlgebra:
