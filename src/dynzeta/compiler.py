@@ -25,9 +25,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import valuation
-from .exponents import BOUNDED, ExponentSpec, SpecViolation, apply_spec, validate_spec
-from .words import Generator, Word, eval_range
+from .arith import is_prime
+from .exponents import (
+    BOUNDED,
+    UNBOUNDED,
+    ExponentSpec,
+    SpecViolation,
+    apply_spec,
+    validate_spec,
+)
+from .words import (
+    Generator,
+    Word,
+    _exponent_table,
+    _first_difference,
+    _max_exponent,
+    eval_word,
+)
 
 __all__ = [
     "InvalidSpecError",
@@ -56,8 +70,11 @@ class CompileResult:
     agreement: dict[int, int]
 
     def admits(self, n: int) -> bool:
-        """Whether n lies in the agreement set."""
-        return all(valuation(p, n) <= bound for p, bound in self.agreement.items())
+        """Whether n lies in the agreement set: no agreement prime p has
+        p**(bound + 1) dividing n."""
+        if n < 1:
+            raise ValueError(f"the agreement set holds integers n >= 1, got {n}")
+        return all(bound >= 0 and n % p ** (bound + 1) for p, bound in self.agreement.items())
 
 
 def block_gadget(prime: int, level: int, target: int) -> Word:
@@ -105,14 +122,38 @@ class Mismatch:
 
 def verify_compile(result: CompileResult, spec: ExponentSpec, max_n: int) -> Mismatch | None:
     """Compare the compiled word against the spec on every n <= max_n inside
-    the agreement set; None means they agree everywhere checked."""
+    the agreement set; None means they agree everywhere checked.
+
+    Decided on the prefix 1..max_n but computed prime by prime. The word and
+    the spec each rewrite every exponent v_p(n) on its own (unmapped primes
+    keep theirs), and n is admitted when v_p(n) <= bound for each agreement
+    prime. So they differ at an admitted n exactly when some prime's word
+    table and spec function differ at v_p(n), and the first such n is the
+    smallest differing admitted p**v. The first admitted n beyond an
+    unbounded table, where the spec raises TableRangeError, is likewise the
+    smallest admitted p**(table_bound + 1). Whichever comes first is
+    evaluated pointwise: it raises, or gives the mismatch.
+    """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    got = eval_range(result.word, max_n)
-    for n in range(1, max_n + 1):
-        if not result.admits(n):
-            continue
-        expected = apply_spec(spec, n)
-        if got[n - 1] != expected:
-            return Mismatch(n, got[n - 1], expected)
-    return None
+    for p in result.agreement:
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+    if any(bound < 0 for bound in result.agreement.values()):
+        return None  # no n is admitted
+    candidates = []
+    for p in result.word.primes() | set(spec.functions):
+        top = min(_max_exponent(p, max_n), result.agreement.get(p, max_n))
+        fn = spec.functions.get(p)
+        if fn is not None and fn.shape == UNBOUNDED and fn.table_bound < top:
+            top = fn.table_bound
+            candidates.append(p ** (top + 1))
+        target = [v if fn is None else fn.value(v) for v in range(top + 1)]
+        n = _first_difference(p, _exponent_table(result.word, p, top), target)
+        if n is not None:
+            candidates.append(n)
+    if not candidates:
+        return None
+    n = min(candidates)
+    expected = apply_spec(spec, n)
+    return Mismatch(n, eval_word(result.word, n), expected)

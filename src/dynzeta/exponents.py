@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Mapping
 
-from .arith import factorize, is_prime, primes_up_to, valuation
+from .arith import factorize, is_prime, primes_up_to
 from .sequences import RealizabilityVerdict, check_realizable
-from .words import Word, eval_word
+from .words import Word, _exponent_table
 
 __all__ = [
     "BOUNDED",
@@ -195,8 +195,9 @@ def apply_spec(spec: ExponentSpec, n: int) -> int:
 
 
 def spec_from_word(word: Word, max_prime: int, max_level: int) -> ExponentSpec:
-    """Tabulate the exponent functions of a word by evaluating it on prime
-    powers: the table for p records the valuation of the image of p**v.
+    """Tabulate the exponent functions of a word: the table for p records
+    the valuation of the image of p**v, which the word's generators of prime
+    p alone decide.
 
     Every prime up to max_prime is tabulated for v = 0..max_level. The tables
     record observed exponents only and carry no claim about larger exponents,
@@ -207,12 +208,10 @@ def spec_from_word(word: Word, max_prime: int, max_level: int) -> ExponentSpec:
     stray = [p for p in word.primes() if p > max_prime]
     if stray:
         raise ValueError(f"word touches primes {sorted(stray)} above {max_prime}")
-    funcs = {}
-    for p in primes_up_to(max_prime):
-        table = tuple(
-            valuation(p, eval_word(word, p**v)) for v in range(max_level + 1)
-        )
-        funcs[p] = ExponentFunction.unbounded(table)
+    funcs = {
+        p: ExponentFunction.unbounded(_exponent_table(word, p, max_level))
+        for p in primes_up_to(max_prime)
+    }
     return ExponentSpec(funcs)
 
 

@@ -10,8 +10,12 @@ Words store their generators in application order: index 0 acts first. Any
 rendering in the usual right-to-left composition notation must reverse the
 list.
 
-Exact equality of two words over all n is not decidable here; equality is
-tested on a prefix 1..N and a disagreement is returned as a witness.
+A word therefore acts prime by prime: the generators of prime p send v_p(n)
+through a map on exponents that ignores every other prime. Range evaluation
+and prefix equality are computed from these per-prime exponent tables, one
+table per prime the word touches, instead of generator by generator.
+Equality is still only tested on a prefix 1..N, and a disagreement is
+returned as the smallest witness.
 """
 
 from __future__ import annotations
@@ -115,29 +119,67 @@ def eval_word(word: Word, n: int) -> int:
     return n
 
 
+def _max_exponent(p: int, max_n: int) -> int:
+    """The largest v with p**v <= max_n, for max_n >= 1."""
+    v, q = 0, p
+    while q <= max_n:
+        q *= p
+        v += 1
+    return v
+
+
+def _exponent_table(word: Word, p: int, top: int) -> list[int]:
+    """The word's map on the exponent of p, on the exponents 0..top.
+
+    Entry v is v_p of the image of every n with v_p(n) == v: only the
+    generators of prime p read or write that exponent.
+    """
+    table = list(range(top + 1))
+    for gen in word.gens:
+        if gen.prime != p:
+            continue
+        t = gen.level
+        if gen.kind == BUMP:
+            table = [v + 1 if v == t else v for v in table]
+        else:
+            table = [t if v > t else v for v in table]
+    return table
+
+
+def _first_difference(p: int, left: list[int], right: list[int]) -> int | None:
+    """p**v for the smallest v where two exponent tables of p differ."""
+    for v, (a, b) in enumerate(zip(left, right)):
+        if a != b:
+            return p**v
+    return None
+
+
 def eval_range(word: Word, max_n: int) -> list[int]:
     """Values of a word on 1..max_n (index 0 holds the image of 1).
 
-    One pass per generator over the whole range; the valuation tests reduce
-    to two remainders, which keeps large sweeps affordable.
+    One pass per prime the word touches, driven by its exponent table: each
+    n <= max_n must be scaled by p**(table[v] - v) where v = v_p(n). Walking
+    the multiples of p**v by slice for v = 0, 1, ..., the pass applies only
+    the change of that shift from v - 1 to v. Nothing is rewritten below the
+    first exponent v0 the table moves, so the pass costs about max_n / p**v0
+    products however many generators the word has. Every division is exact.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     vals = list(range(1, max_n + 1))
-    for gen in word.gens:
-        p = gen.prime
-        pt = p**gen.level
-        pt1 = pt * p
-        if gen.kind == BUMP:
-            vals = [m * p if m % pt == 0 and m % pt1 else m for m in vals]
-        else:
-            out = []
-            append = out.append
-            for m in vals:
-                while m % pt1 == 0:
-                    m //= p
-                append(m)
-            vals = out
+    for p in word.primes():
+        shift = 0  # the exponent shift already applied to multiples of p**v
+        q = 1
+        for v, image in enumerate(_exponent_table(word, p, _max_exponent(p, max_n))):
+            delta = image - v - shift
+            if delta > 0:
+                f = p**delta
+                vals[q - 1 :: q] = [m * f for m in vals[q - 1 :: q]]
+            elif delta < 0:
+                f = p**-delta
+                vals[q - 1 :: q] = [m // f for m in vals[q - 1 :: q]]
+            shift += delta
+            q *= p
     return vals
 
 
@@ -151,15 +193,26 @@ class Witness:
 
 
 def equal_upto(w1: Word, w2: Word, max_n: int) -> Witness | None:
-    """None when the words agree on all of 1..max_n, else the first witness."""
+    """None when the words agree on all of 1..max_n, else the first witness.
+
+    Decided on the prefix 1..max_n but computed prime by prime: the words
+    differ at n exactly when, for some prime p, their exponent tables differ
+    at v_p(n). The smallest witness is therefore the smallest p**v <= max_n
+    over the differing entries (v = 0 gives n = 1), and no list of length
+    max_n is built.
+    """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    a = eval_range(w1, max_n)
-    b = eval_range(w2, max_n)
-    for i, (x, y) in enumerate(zip(a, b)):
-        if x != y:
-            return Witness(i + 1, x, y)
-    return None
+    witnesses = []
+    for p in w1.primes() | w2.primes():
+        top = _max_exponent(p, max_n)
+        n = _first_difference(p, _exponent_table(w1, p, top), _exponent_table(w2, p, top))
+        if n is not None:
+            witnesses.append(n)
+    if not witnesses:
+        return None
+    n = min(witnesses)
+    return Witness(n, eval_word(w1, n), eval_word(w2, n))
 
 
 def normal_form(word: Word) -> Word:

@@ -6,7 +6,9 @@ from enumerating strings, products from integer Cauchy convolution, powers
 from the generalized binomial series, and realizability from greedily
 building an orbit multiset. The zeta recurrences on Fraction and the quadratic
 divisibility scan are the reference versions of the library's integer and
-multiples-walk kernels.
+multiples-walk kernels; the per-generator range passes, the scanning prefix
+equality and the per-n compile check are the reference versions of its
+per-prime exponent-table kernels.
 """
 
 from fractions import Fraction
@@ -236,3 +238,74 @@ def divisibility_counterexamples(values):
         None,
     )
     return {"divides": divides, "coprime_lcm": coprime_lcm, "prime_support": prime_support}
+
+
+def generator_pass_eval_range(gens, max_n):
+    """Values on 1..max_n of the word with generators (kind, prime, level)
+    in application order, one pass per generator over the whole range."""
+    vals = list(range(1, max_n + 1))
+    for kind, p, level in gens:
+        pt = p**level
+        pt1 = pt * p
+        if kind == "g":
+            vals = [m * p if m % pt == 0 and m % pt1 else m for m in vals]
+        else:
+            out = []
+            for m in vals:
+                while m % pt1 == 0:
+                    m //= p
+                out.append(m)
+            vals = out
+    return vals
+
+
+def scan_equal_upto(gens1, gens2, max_n):
+    """(n, left, right) at the first n <= max_n where the two words differ,
+    by scanning both ranges; None when they agree on 1..max_n."""
+    a = generator_pass_eval_range(gens1, max_n)
+    b = generator_pass_eval_range(gens2, max_n)
+    for n, (x, y) in enumerate(zip(a, b), start=1):
+        if x != y:
+            return n, x, y
+    return None
+
+
+def pointwise_verify_compile(gens, agreement, tables, max_n):
+    """The compile check one n at a time, on raw data: the word's generators
+    (kind, prime, level), the agreement {prime: bound} and the spec
+    {prime: (shape, values)}. Each n <= max_n with v_p(n) <= bound for every
+    agreement prime is mapped through the spec prime by prime, ascending.
+
+    Returns None, ("mismatch", n, got, expected) at the first disagreement,
+    or ("table-range", message) at the first admitted n whose exponent lies
+    beyond an unbounded table, whichever n comes first.
+    """
+    got = generator_pass_eval_range(gens, max_n)
+
+    def val(p, n):
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        return e
+
+    for n in range(1, max_n + 1):
+        if any(val(p, n) > bound for p, bound in agreement.items()):
+            continue
+        rest, expected = n, 1
+        for p in sorted(tables):
+            shape, values = tables[p]
+            e = val(p, n)
+            rest //= p**e
+            if e < len(values):
+                e = values[e]
+            elif shape == "bounded":
+                e = values[-1]
+            else:
+                return ("table-range", f"table for prime {p} covers exponents "
+                        f"0..{len(values) - 1}, asked for {e}")
+            expected *= p**e
+        expected *= rest
+        if got[n - 1] != expected:
+            return ("mismatch", n, got[n - 1], expected)
+    return None

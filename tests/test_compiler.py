@@ -1,20 +1,22 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynzeta.compiler import (
     CompileResult,
     InvalidSpecError,
+    Mismatch,
     block_gadget,
     compile_spec,
     verify_compile,
 )
-from dynzeta.exponents import ExponentFunction, ExponentSpec, apply_spec
+from dynzeta.exponents import ExponentFunction, ExponentSpec, TableRangeError, apply_spec
 from dynzeta.sequences import check_realizable
 from dynzeta.series import FixSource, time_change_fix
 from dynzeta.words import Generator, Word, eval_word, is_normal_shape, normal_form
 
-from oracles import random_orbit_counts, random_valid_spec_tables
+from oracles import pointwise_verify_compile, random_orbit_counts, random_valid_spec_tables
 
 B, C = Generator.bump, Generator.cap
 
@@ -100,6 +102,116 @@ class TestVerify:
         assert mismatch is not None
         assert mismatch.n == 1  # dropping bump(2, 0) breaks odd n first
         assert (mismatch.got, mismatch.expected) == (1, 2)
+
+    def test_table_range_error_at_first_admitted_exponent_beyond_the_table(self):
+        result = compile_spec(DOUBLING)
+        dropped = CompileResult(result.word, {})
+        assert verify_compile(dropped, DOUBLING, 7) is None
+        with pytest.raises(TableRangeError, match=r"covers exponents 0\.\.2, asked for 3"):
+            verify_compile(dropped, DOUBLING, 8)
+
+    def test_mismatch_before_the_table_range_error_wins(self):
+        result = compile_spec(DOUBLING)
+        tampered = CompileResult(Word(result.word.gens[:-1]), {})
+        assert verify_compile(tampered, DOUBLING, 10**6) == Mismatch(1, 1, 2)
+
+    def test_rejects_composite_agreement_key(self):
+        result = compile_spec(DOUBLING)
+        with pytest.raises(ValueError, match="4 is not prime"):
+            verify_compile(CompileResult(result.word, {4: 1}), DOUBLING, 100)
+
+    def test_huge_prefix(self):
+        spec = build_spec({2: ("bounded", [1, 3, 3]), 3: ("unbounded", [0, 2, 2, 3])})
+        result = compile_spec(spec)
+        assert verify_compile(result, spec, 10**30) is None
+        tampered = CompileResult(result.word, {2: 3, 3: 3, 5: 1})
+        assert verify_compile(tampered, spec, 10**30) is None
+
+
+class TestAdmits:
+    def test_divisibility_matches_valuations(self):
+        result = CompileResult(Word(), {2: 2, 3: 0, 7: 1})
+        for n in range(1, 3000):
+            expected = n % 8 != 0 and n % 3 != 0 and n % 49 != 0
+            assert result.admits(n) is expected
+
+    def test_rejects_non_positive(self):
+        for agreement in ({}, {2: 1}):
+            with pytest.raises(ValueError):
+                CompileResult(Word(), agreement).admits(0)
+
+    def test_negative_bound_admits_nothing(self):
+        result = CompileResult(Word((B(3, 0),)), {2: -1, 3: 5})
+        assert not any(result.admits(n) for n in range(1, 50))
+        assert verify_compile(result, DOUBLING, 1000) is None
+
+
+def tamper(rng, result, primes):
+    """A copy of a compile result with one generator dropped, inserted or
+    mutated, or one agreement entry dropped, widened or added."""
+    gens = list(result.word.gens)
+    agreement = dict(result.agreement)
+    choice = rng.randrange(6)
+    if choice == 0 and gens:
+        del gens[rng.randrange(len(gens))]
+    elif choice == 1:
+        gen = Generator(rng.choice("gh"), rng.choice(primes), rng.randint(0, 5))
+        gens.insert(rng.randint(0, len(gens)), gen)
+    elif choice == 2 and gens:
+        i = rng.randrange(len(gens))
+        old = gens[i]
+        gens[i] = rng.choice((
+            Generator(old.kind, old.prime, old.level + rng.choice((-1, 1)) if old.level else 1),
+            Generator("h" if old.kind == "g" else "g", old.prime, old.level),
+            Generator(old.kind, rng.choice(primes), old.level),
+        ))
+    elif choice == 3 and agreement:
+        del agreement[rng.choice(sorted(agreement))]
+    elif choice == 4 and agreement:
+        p = rng.choice(sorted(agreement))
+        agreement[p] += rng.randint(1, 3)
+    else:
+        agreement[rng.choice(primes)] = rng.randint(0, 4)
+    return CompileResult(Word(tuple(gens)), agreement)
+
+
+def verify_outcome(result, spec, max_n):
+    try:
+        mismatch = verify_compile(result, spec, max_n)
+    except TableRangeError as err:
+        return ("table-range", str(err))
+    return None if mismatch is None else ("mismatch", mismatch.n, mismatch.got, mismatch.expected)
+
+
+class TestVerifyAgainstPointwise:
+    PRIMES = (2, 3, 5, 7)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 1200), st.integers(1, 3))
+    def test_tampered_results(self, seed, max_n, rounds):
+        rng = random.Random(seed)
+        tables = random_valid_spec_tables(rng, self.PRIMES)
+        spec = build_spec(tables)
+        result = compile_spec(spec)
+        for _ in range(rounds):
+            result = tamper(rng, result, self.PRIMES)
+        triples = [(g.kind, g.prime, g.level) for g in result.word]
+        expected = pointwise_verify_compile(triples, result.agreement, tables, max_n)
+        assert verify_outcome(result, spec, max_n) == expected
+
+    def test_every_tampering_kind_is_caught_somewhere(self):
+        rng = random.Random(404)
+        kinds = set()
+        for _ in range(300):
+            tables = random_valid_spec_tables(rng, self.PRIMES)
+            spec = build_spec(tables)
+            result = tamper(rng, compile_spec(spec), self.PRIMES)
+            triples = [(g.kind, g.prime, g.level) for g in result.word]
+            expected = pointwise_verify_compile(triples, result.agreement, tables, 800)
+            got = verify_outcome(result, spec, 800)
+            assert got == expected
+            kinds.add(None if got is None else got[0])
+        assert kinds == {None, "mismatch", "table-range"}
 
 
 class TestBlockOrderRegression:

@@ -15,7 +15,8 @@ from dynzeta.exponents import (
     validate_spec,
 )
 from dynzeta.sequences import DOLD, SIGN, RealizabilityVerdict
-from dynzeta.words import Generator, Word, eval_generator, eval_range, random_word
+from dynzeta.arith import valuation
+from dynzeta.words import Generator, Word, eval_generator, eval_range, eval_word, random_word
 
 from oracles import divisibility_counterexamples, random_valid_spec_tables
 
@@ -124,6 +125,16 @@ class TestSpecFromWord:
             spec = spec_from_word(word, 7, 8)
             for fn in spec.functions.values():
                 assert list(fn.values) == sorted(fn.values)
+
+    @given(st.integers(0, 10**6), st.integers(0, 14), st.integers(0, 6))
+    def test_tables_are_valuations_of_prime_power_images(self, seed, length, max_level):
+        word = random_word(seed, length, 11, 5)
+        spec = spec_from_word(word, 11, max_level)
+        for p, fn in spec.functions.items():
+            assert fn.shape == "unbounded"
+            assert fn.values == tuple(
+                valuation(p, eval_word(word, p**v)) for v in range(max_level + 1)
+            )
 
     def test_consistency_with_word_evaluation(self):
         for seed in range(40):

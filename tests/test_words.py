@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dynzeta.arith import valuation
 from dynzeta.words import (
@@ -17,6 +17,8 @@ from dynzeta.words import (
     random_word,
 )
 
+from oracles import generator_pass_eval_range, scan_equal_upto
+
 B, C = Generator.bump, Generator.cap
 
 gen_strategy = st.builds(
@@ -26,6 +28,32 @@ gen_strategy = st.builds(
     level=st.integers(min_value=0, max_value=5),
 )
 word_strategy = st.builds(Word, st.lists(gen_strategy, max_size=12).map(tuple))
+# primes beyond every prefix tested, and levels up to 2**9 <= max_n
+wide_gen_strategy = st.builds(
+    Generator,
+    kind=st.sampled_from("gh"),
+    prime=st.sampled_from([2, 3, 5, 7, 11, 101, 10007]),
+    level=st.integers(min_value=0, max_value=9),
+)
+wide_word_strategy = st.builds(Word, st.lists(wide_gen_strategy, max_size=16).map(tuple))
+# max_n around a prime power: p**k - 1, p**k and p**k + 1
+edge_max_n = st.builds(
+    lambda q, d: max(1, q + d),
+    st.sampled_from(sorted({p**k for p in (2, 3, 5, 7, 11) for k in range(12) if p**k <= 2500})),
+    st.sampled_from([-1, 0, 1]),
+)
+# two words over few generators, so equal and unequal pairs both occur
+small_gen_strategy = st.builds(
+    Generator,
+    kind=st.sampled_from("gh"),
+    prime=st.sampled_from([2, 3]),
+    level=st.integers(min_value=0, max_value=3),
+)
+small_word_strategy = st.builds(Word, st.lists(small_gen_strategy, max_size=5).map(tuple))
+
+
+def triples(word):
+    return [(g.kind, g.prime, g.level) for g in word]
 
 
 class TestGenerator:
@@ -81,6 +109,29 @@ class TestEvalWord:
     def test_eval_range_matches_pointwise_eval(self, word, max_n):
         assert eval_range(word, max_n) == [eval_word(word, n) for n in range(1, max_n + 1)]
 
+    @settings(max_examples=300)
+    @given(wide_word_strategy, st.one_of(edge_max_n, st.integers(min_value=1, max_value=3000)))
+    def test_eval_range_matches_generator_passes(self, word, max_n):
+        assert eval_range(word, max_n) == generator_pass_eval_range(triples(word), max_n)
+
+    def test_eval_range_edges(self):
+        words = [
+            Word((B(10007, 0),)),  # prime above max_n, bump at level 0: every n moves
+            Word((B(10007, 0), C(10007, 0), B(2, 0))),
+            Word((C(2, 0), B(3, 0), B(3, 1), C(3, 1))),  # caps divide, bumps multiply
+            Word((B(2, 3), C(2, 5), B(5, 0), B(5, 1))),
+            Word(),
+        ]
+        for word in words:
+            for max_n in (1, 2, 3, 4, 7, 8, 9, 24, 25, 26, 1023, 1024, 1025):
+                assert eval_range(word, max_n) == generator_pass_eval_range(
+                    triples(word), max_n
+                ), (word, max_n)
+
+    def test_eval_range_rejects_empty_range(self):
+        with pytest.raises(ValueError):
+            eval_range(Word((B(2, 0),)), 0)
+
 
 class TestEqualUpto:
     def test_word_equals_itself(self):
@@ -93,6 +144,42 @@ class TestEqualUpto:
 
     def test_cap_bump_exchange_relation(self):
         assert equal_upto(Word((C(2, 0), B(2, 0))), Word((B(2, 0), C(2, 1))), 10000) is None
+
+    @settings(max_examples=300)
+    @given(small_word_strategy, small_word_strategy, st.one_of(edge_max_n, st.integers(1, 600)))
+    def test_witness_matches_scan(self, w1, w2, max_n):
+        witness = equal_upto(w1, w2, max_n)
+        expected = scan_equal_upto(triples(w1), triples(w2), max_n)
+        assert (None if witness is None else (witness.n, witness.left, witness.right)) == expected
+
+    @given(wide_word_strategy, wide_word_strategy, st.integers(1, 1500))
+    def test_witness_matches_scan_on_wide_words(self, w1, w2, max_n):
+        witness = equal_upto(w1, w2, max_n)
+        expected = scan_equal_upto(triples(w1), triples(w2), max_n)
+        assert (None if witness is None else (witness.n, witness.left, witness.right)) == expected
+
+    def test_empty_words(self):
+        assert equal_upto(Word(), Word(), 1) is None
+        assert equal_upto(Word(), Word((C(2, 3),)), 7) is None
+        assert equal_upto(Word(), Word((C(2, 3),)), 16) == Witness(16, 16, 8)
+        assert equal_upto(Word((B(10007, 0),)), Word(), 1) == Witness(1, 10007, 1)
+
+    def test_witness_at_one(self):
+        assert equal_upto(Word((B(3, 0),)), Word((B(2, 0),)), 1) == Witness(1, 3, 2)
+        assert equal_upto(Word((C(2, 0),)), Word((B(5, 1),)), 1) is None
+        assert equal_upto(Word((C(2, 0),)), Word((B(5, 1),)), 2) == Witness(2, 1, 2)
+
+    def test_huge_prefix_gives_the_small_prefix_witness(self):
+        w1 = Word((B(2, 2), B(3, 1), C(5, 2)))
+        w2 = Word((B(3, 1), C(5, 2), B(2, 3)))
+        assert equal_upto(w1, w2, 10**18) == equal_upto(w1, w2, 100) == Witness(4, 8, 4)
+        word = random_word(3, 9, 7, 4)
+        assert equal_upto(word, normal_form(word), 10**18) is None
+
+    def test_huge_prefix_finds_a_witness_beyond_any_range(self):
+        far = Word((B(2, 40),))
+        assert equal_upto(far, Word(), 2**40 - 1) is None
+        assert equal_upto(far, Word(), 10**18) == Witness(2**40, 2**41, 2**40)
 
 
 class TestCommutationRelations:
