@@ -17,12 +17,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from typing import Callable
 
 from . import jsonio
 from .compiler import compile_spec
 from .exponents import (
-    apply_spec,
+    _spec_map,
     check_divisibility_properties,
     membership_test,
     preimage_structure,
@@ -34,7 +35,6 @@ from .words import (
     Generator,
     Word,
     equal_upto,
-    eval_generator,
     eval_range,
     eval_word,
     normal_form,
@@ -59,7 +59,11 @@ def _load_json(path: str):
 
 
 def parse_map(text: str) -> Callable[[int], int]:
-    """Resolve a map name to a callable on the positive integers."""
+    """Resolve a map name to a callable on the positive integers.
+
+    `gen:`, `word:` and `spec:` maps also carry a range path, so the
+    consumers take their values on 1..max_n in one pass.
+    """
     name, _, rest = text.partition(":")
     if name == "identity":
         return lambda n: n
@@ -82,13 +86,11 @@ def parse_map(text: str) -> Callable[[int], int]:
             gen = Generator(kind, p, t)
         except ValueError as err:
             raise UsageError(str(err)) from None
-        return lambda n: eval_generator(gen, n)
+        return Word((gen,)).as_map()
     if name == "word":
-        word = _load_word(rest)
-        return lambda n: eval_word(word, n)
+        return _load_word(rest).as_map()
     if name == "spec":
-        spec = jsonio.spec_from_json(_load_json(rest))
-        return lambda n: apply_spec(spec, n)
+        return _spec_map(jsonio.spec_from_json(_load_json(rest)))
     raise UsageError(f"unknown map {text!r}")
 
 
@@ -321,7 +323,10 @@ def cmd_relation_search(args) -> tuple[int, dict]:
     }
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls, and every call starts from a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="dynzeta",
         description="Exact arithmetic for dynamical zeta functions and time-changes.",

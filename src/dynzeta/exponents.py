@@ -16,6 +16,13 @@ A valid spec has every exponent function non-decreasing, and bounded below
 by the identity (value >= index) on the whole table for unbounded shapes,
 respectively up to the eventual value for bounded ones.
 
+A spec evaluates a whole range 1..N through the same per-prime kernel as a
+word (`words._apply_tables`), with its exponent functions as the tables.
+The map consumers here (membership probes, preimage structure, the
+divisibility laws), like series.time_change_fix, take a map's values on
+1..N once: in one range pass for word, spec and generator maps, and one
+call per n for any other callable.
+
 Membership testing is one-sided: a single-orbit time change that fails the
 realizability check refutes membership conclusively, while passing every
 probe proves nothing. The API therefore never answers "is a member".
@@ -24,12 +31,13 @@ probe proves nothing. The API therefore never answers "is a member".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-from typing import Callable, Mapping
+from math import gcd, lcm
+from typing import Callable, Iterator, Mapping
 
 from .arith import factorize, is_prime, primes_up_to
 from .sequences import RealizabilityVerdict, check_realizable
-from .words import Word, _exponent_table
+from .series import _map_values, _RangeMap
+from .words import Word, _apply_tables, _exponent_table, _max_exponent
 
 __all__ = [
     "BOUNDED",
@@ -194,6 +202,33 @@ def apply_spec(spec: ExponentSpec, n: int) -> int:
     return out * rest
 
 
+def _spec_values(spec: ExponentSpec, max_n: int) -> Iterator[int]:
+    """apply_spec on 1..max_n through the per-prime range kernel.
+
+    A spec prime above max_n still applies its value at exponent 0. A short
+    unbounded table first fails at n = p**(bound + 1), the smallest such
+    power: the values before it come out first, then the same
+    TableRangeError that apply_spec raises there.
+    """
+    stop, error = max_n, None
+    for p, fn in spec.functions.items():
+        if fn.shape == UNBOUNDED and fn.table_bound < _max_exponent(p, stop):
+            stop = p ** (fn.table_bound + 1) - 1
+            error = TableRangeError(p, fn.table_bound + 1, fn.table_bound)
+    tables = {
+        p: [fn.value(v, p) for v in range(_max_exponent(p, stop) + 1)]
+        for p, fn in spec.functions.items()
+    }
+    yield from _apply_tables(tables, stop)
+    if error is not None:
+        raise error
+
+
+def _spec_map(spec: ExponentSpec) -> Callable[[int], int]:
+    """The map a spec describes, with the range path of _spec_values."""
+    return _RangeMap(lambda n: apply_spec(spec, n), lambda max_n: _spec_values(spec, max_n))
+
+
 def spec_from_word(word: Word, max_prime: int, max_level: int) -> ExponentSpec:
     """Tabulate the exponent functions of a word: the table for p records
     the valuation of the image of p**v, which the word's generators of prime
@@ -243,12 +278,17 @@ class PreimageStructure:
 
 
 def preimage_structure(f: Callable[[int], int], k: int, max_n: int) -> PreimageStructure:
-    """Classify the preimage of the multiples of k under f, up to max_n."""
+    """Classify the preimage of the multiples of k under f, up to max_n.
+
+    The values f(1..max_n) are taken once, in one pass for word, spec and
+    generator maps. Values are used as they come: only `m % k` is asked of
+    them.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     if max_n < k:
         raise ValueError(f"max_n = {max_n} must be at least k = {k}")
-    hits = [f(n) % k == 0 for n in range(1, max_n + 1)]
+    hits = [m % k == 0 for m in _map_values(f, max_n, None)]
     try:
         step = hits.index(True) + 1
     except ValueError:
@@ -297,15 +337,22 @@ def membership_test(f: Callable[[int], int], max_k: int, max_n: int) -> Membersh
 
     The time change of one orbit of length k by f counts k at each n with
     k | f(n); the smallest k whose probe fails realizability is returned.
+    The values f(1..max_n) are taken once (in one pass for word, spec and
+    generator maps) and each is reduced once modulo L = lcm(1..max_k):
+    every probed k divides L, so k | f(n) exactly when k | f(n) mod L, and
+    the probes never touch the full values again. When L exceeds every
+    value the reduction changes nothing and is skipped.
     """
     if max_k < 1 or max_n < 1:
         raise ValueError("max_k and max_n must be >= 1")
-    values = []
-    for n in range(1, max_n + 1):
-        m = f(n)
-        if not isinstance(m, int) or m < 1:
-            raise ValueError(f"map produced {m!r} at n={n}; expected an integer >= 1")
-        values.append(m)
+    values = list(_map_values(f, max_n))
+    modulus, top = 1, max(values)
+    for k in range(2, max_k + 1):
+        modulus = lcm(modulus, k)
+        if modulus > top:
+            break
+    else:
+        values = [m % modulus for m in values]
     for k in range(1, max_k + 1):
         probe = [k if v % k == 0 else 0 for v in values]
         verdict = check_realizable(probe)
@@ -341,15 +388,16 @@ class DivisibilityReport:
 
 
 def check_divisibility_properties(f: Callable[[int], int], max_n: int) -> DivisibilityReport:
-    """Exhaustively test the three divisibility laws on 1..max_n."""
+    """Exhaustively test the three divisibility laws on 1..max_n.
+
+    The values f(1..max_n) are taken once, in one pass for word, spec and
+    generator maps. prime_support strips the primes of n from f(n) by
+    repeated gcd and tests that the rest divides f(1); only the first value
+    that fails is factorized, to name its smallest offending prime.
+    """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    values = [0]  # 1-based
-    for n in range(1, max_n + 1):
-        m = f(n)
-        if not isinstance(m, int) or m < 1:
-            raise ValueError(f"map produced {m!r} at n={n}; expected an integer >= 1")
-        values.append(m)
+    values = [0, *_map_values(f, max_n)]  # 1-based
 
     # walk the multiples n of each m; the first failure is the smallest n,
     # then the smallest m, so a later m only looks below the best n so far
@@ -376,14 +424,19 @@ def check_divisibility_properties(f: Callable[[int], int], max_n: int) -> Divisi
                 coprime_lcm = ClaimResult(False, (m, n))
                 break
 
+    # the part of f(n) on primes not dividing n must divide f(1); g keeps
+    # every prime of n still in rest, and squaring it strips fast
     prime_support = ClaimResult(True)
-    base = {p: e for p, e in factorize(values[1])}
     for n in range(1, max_n + 1):
-        for q, e in factorize(values[n]):
-            if e > base.get(q, 0) and n % q != 0:
-                prime_support = ClaimResult(False, (q, n))
-                break
-        if not prime_support.holds:
+        rest = values[n]
+        g = gcd(rest, n)
+        while g > 1:
+            rest //= g
+            g = gcd(rest, g * g)
+        if values[1] % rest:
+            base = dict(factorize(values[1]))
+            q = next(q for q, e in factorize(values[n]) if e > base.get(q, 0) and n % q)
+            prime_support = ClaimResult(False, (q, n))
             break
 
     return DivisibilityReport(max_n, divides, coprime_lcm, prime_support)

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .sequences import RealizabilityVerdict, check_realizable
 
@@ -276,17 +276,55 @@ def series_pow(f: Series, r) -> Series:
     return exp_series(Series(tuple(r * c for c in logs.coeffs)))
 
 
+class _RangeMap:
+    """A map on n >= 1 that also has a range path: `values(max_n)` iterates
+    its values on 1..max_n, computed in one pass, and raises only after the
+    values before the first n it cannot map. Calling it maps one n."""
+
+    __slots__ = ("point", "values")
+
+    def __init__(self, point: Callable[[int], int], values: Callable[[int], Iterable[int]]):
+        self.point = point
+        self.values = values
+
+    def __call__(self, n: int) -> int:
+        return self.point(n)
+
+
+_INVALID_VALUE = "map produced {m!r} at n={n}; expected an integer >= 1"
+
+
+def _map_values(f: Callable[[int], int], max_n: int,
+                invalid: str | None = _INVALID_VALUE) -> Iterator[int]:
+    """f(1), ..., f(max_n) in order, each taken once.
+
+    A map with a range path (word, spec and generator maps) gives them in
+    one pass. A plain callable is called per n, and unless `invalid` is None
+    each value must be an int >= 1, else ValueError(invalid.format(n=n, m=m))
+    at the first bad n. Either way nothing after the first failing n is
+    produced, so a consumer sees values and errors in the order of n.
+    """
+    if isinstance(f, _RangeMap):
+        yield from f.values(max_n)
+        return
+    for n in range(1, max_n + 1):
+        m = f(n)
+        if invalid is not None and (not isinstance(m, int) or m < 1):
+            raise ValueError(invalid.format(n=n, m=m))
+        yield m
+
+
 def time_change_fix(h: Callable[[int], int], source: FixSource, length: int) -> list[int]:
-    """Prefix of the time-changed counts: entry n is a_{h(n)}."""
+    """Prefix of the time-changed counts: entry n is a_{h(n)}.
+
+    The values of h are taken once through the range path when h has one.
+    Counts are read in the order of n, so a failing source lookup is
+    reported before a map error at a larger n.
+    """
     if length < 1:
         raise ValueError("length must be >= 1")
-    out = []
-    for n in range(1, length + 1):
-        m = h(n)
-        if not isinstance(m, int) or m < 1:
-            raise ValueError(f"time-change value h({n}) = {m!r}; expected an integer >= 1")
-        out.append(source.value(m))
-    return out
+    invalid = "time-change value h({n}) = {m!r}; expected an integer >= 1"
+    return [source.value(m) for m in _map_values(h, length, invalid)]
 
 
 @dataclass(frozen=True)

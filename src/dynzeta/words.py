@@ -13,7 +13,9 @@ list.
 A word therefore acts prime by prime: the generators of prime p send v_p(n)
 through a map on exponents that ignores every other prime. Range evaluation
 and prefix equality are computed from these per-prime exponent tables, one
-table per prime the word touches, instead of generator by generator.
+table per prime the word touches, instead of generator by generator. The
+range kernel takes any {prime: exponent table}, so exponent specs evaluate
+ranges through it as well.
 Equality is still only tested on a prefix 1..N, and a disagreement is
 returned as the smallest witness.
 """
@@ -22,8 +24,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Callable, Mapping, Sequence
 
 from .arith import is_prime, primes_up_to
+from .series import _RangeMap
 
 __all__ = [
     "BUMP",
@@ -104,8 +108,10 @@ class Word:
     def primes(self) -> set[int]:
         return {g.prime for g in self.gens}
 
-    def as_map(self):
-        return lambda n: eval_word(self, n)
+    def as_map(self) -> Callable[[int], int]:
+        """The word as a map; consumers that need 1..max_n take the values
+        in one eval_range pass instead of calling it per n."""
+        return _RangeMap(lambda n: eval_word(self, n), lambda max_n: eval_range(self, max_n))
 
     def __repr__(self):
         return "Word[" + " ".join(repr(g) for g in self.gens) + "]"
@@ -154,23 +160,23 @@ def _first_difference(p: int, left: list[int], right: list[int]) -> int | None:
     return None
 
 
-def eval_range(word: Word, max_n: int) -> list[int]:
-    """Values of a word on 1..max_n (index 0 holds the image of 1).
+def _apply_tables(tables: Mapping[int, Sequence[int]], max_n: int) -> list[int]:
+    """Values on 1..max_n (index 0 holds the image of 1) of the map that
+    sends v_p(n) to tables[p][v_p(n)] for each prime p in tables and keeps
+    every other prime's exponent. Each table covers the exponents 0..top,
+    top = _max_exponent(p, max_n).
 
-    One pass per prime the word touches, driven by its exponent table: each
-    n <= max_n must be scaled by p**(table[v] - v) where v = v_p(n). Walking
-    the multiples of p**v by slice for v = 0, 1, ..., the pass applies only
-    the change of that shift from v - 1 to v. Nothing is rewritten below the
-    first exponent v0 the table moves, so the pass costs about max_n / p**v0
-    products however many generators the word has. Every division is exact.
+    One pass per prime: each n <= max_n must be scaled by p**(table[v] - v)
+    where v = v_p(n). Walking the multiples of p**v by slice for v = 0, 1,
+    ..., the pass applies only the change of that shift from v - 1 to v.
+    Nothing is rewritten below the first exponent v0 the table moves, so the
+    pass costs about max_n / p**v0 products. Every division is exact.
     """
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
     vals = list(range(1, max_n + 1))
-    for p in word.primes():
+    for p, table in tables.items():
         shift = 0  # the exponent shift already applied to multiples of p**v
         q = 1
-        for v, image in enumerate(_exponent_table(word, p, _max_exponent(p, max_n))):
+        for v, image in enumerate(table):
             delta = image - v - shift
             if delta > 0:
                 f = p**delta
@@ -181,6 +187,19 @@ def eval_range(word: Word, max_n: int) -> list[int]:
             shift += delta
             q *= p
     return vals
+
+
+def eval_range(word: Word, max_n: int) -> list[int]:
+    """Values of a word on 1..max_n (index 0 holds the image of 1).
+
+    The word's exponent table of each prime it touches drives one pass of
+    the per-prime kernel, so the cost no longer grows with the number of
+    generators.
+    """
+    if max_n < 1:
+        raise ValueError("max_n must be >= 1")
+    tables = {p: _exponent_table(word, p, _max_exponent(p, max_n)) for p in word.primes()}
+    return _apply_tables(tables, max_n)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,10 @@ building an orbit multiset. The zeta recurrences on Fraction and the quadratic
 divisibility scan are the reference versions of the library's integer and
 multiples-walk kernels; the per-generator range passes, the scanning prefix
 equality and the per-n compile check are the reference versions of its
-per-prime exponent-table kernels.
+per-prime exponent-table kernels. The per-n map consumers (membership
+probes, preimage structure, time-changed counts), with the factorizing
+prime-support scan of divisibility_counterexamples, are the reference
+versions of the consumers that take a map's values once.
 """
 
 from fractions import Fraction
@@ -309,3 +312,61 @@ def pointwise_verify_compile(gens, agreement, tables, max_n):
         if got[n - 1] != expected:
             return ("mismatch", n, got[n - 1], expected)
     return None
+
+
+MAP_VALUE = "map produced {m!r} at n={n}; expected an integer >= 1"
+
+
+def pointwise_values(f, max_n, message=MAP_VALUE):
+    """f(1), ..., f(max_n), one call per n, each required to be an int >= 1
+    (ValueError(message) at the first n where it is not)."""
+    values = []
+    for n in range(1, max_n + 1):
+        m = f(n)
+        if not isinstance(m, int) or m < 1:
+            raise ValueError(message.format(n=n, m=m))
+        values.append(m)
+    return values
+
+
+def pointwise_membership(f, max_k, max_n):
+    """(k, failure, index, value) for the smallest k <= max_k whose probe
+    (k at each n with k | f(n), else 0) fails realizability, read off the
+    divisor-sum transform (sign before Dold at the smallest index); None
+    when every probe passes. The probes test the full values."""
+    values = pointwise_values(f, max_n)
+    for k in range(1, max_k + 1):
+        transformed = divisor_sum_transform([k if v % k == 0 else 0 for v in values])
+        for n, b in enumerate(transformed, start=1):
+            if b < 0:
+                return k, "sign", n, b
+            if b % n != 0:
+                return k, "dold", n, b
+    return None
+
+
+def pointwise_preimage(f, k, max_n):
+    """(outcome, step, witness) of {n <= max_n : k | f(n)}, calling f per n
+    and using its values as they come."""
+    hits = [f(n) % k == 0 for n in range(1, max_n + 1)]
+    if True not in hits:
+        return "empty", None, None
+    step = hits.index(True) + 1
+    if k % step != 0:
+        return "violation", None, step
+    for n in range(1, max_n + 1):
+        if hits[n - 1] != (n % step == 0):
+            return "violation", None, n
+    return "progression", step, None
+
+
+def pointwise_time_change_fix(h, count, length):
+    """[count(h(1)), ..., count(h(length))], calling h and then count for
+    each n in turn, so the first failure in the order of n is raised."""
+    out = []
+    for n in range(1, length + 1):
+        m = h(n)
+        if not isinstance(m, int) or m < 1:
+            raise ValueError(f"time-change value h({n}) = {m!r}; expected an integer >= 1")
+        out.append(count(m))
+    return out

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from dynzeta import cli
 from dynzeta.cli import main
 from dynzeta.exponents import apply_spec
 from dynzeta.jsonio import compile_result_from_json, spec_from_json
@@ -216,3 +217,42 @@ class TestDeterminism:
         code, out, _ = run(capsys, "apply", "--map", "pow:2", "--source", "geometric:2", "--max-n", "3")
         assert code == 0
         assert json.loads(out)["entries"] == ["2", "16", "512"]
+
+
+class TestParserBuiltOnce:
+    def test_alternating_calls_match_fresh_calls(self, capsys, tmp_path):
+        doubling = str(SPEC_DIR / "doubling.json")
+        out_file = tmp_path / "out.json"
+        calls = [
+            ("spec-validate", doubling),
+            ("membership-test", "--map", "nn", "--max-k", "8", "--max-n", "6"),
+            ("preimage", "--map", "succ", "--k", "3"),  # usage error: --max-n missing
+            ("apply", "--map", "nn", "--source", "reg:8", "--max-n", "6", "--out", str(out_file)),
+            ("divisibility-check", "--map", f"spec:{doubling}", "--max-n", "30"),  # table ends at 8
+            ("frobnicate",),
+            ("apply", "--map", "frobnicate", "--source", "reg:2", "--max-n", "3"),
+            ("membership-test", "--map", f"spec:{doubling}", "--max-k", "12", "--max-n", "7"),
+            ("spec-compile", doubling, "--out", str(out_file)),
+        ]
+
+        def call(argv, fresh):
+            if fresh:
+                cli._build_parser.cache_clear()
+            code, out, err = run(capsys, *argv)
+            written = out_file.read_text() if out_file.exists() else None
+            if written is not None:
+                out_file.unlink()
+            return code, out, err, written
+
+        reused = [call(argv, fresh=False) for argv in calls * 2]
+        parser = cli._build_parser()
+        assert cli._build_parser() is parser
+        fresh = [call(argv, fresh=True) for argv in calls * 2]
+        assert reused == fresh
+        assert [r[0] for r in reused[: len(calls)]] == [0, 1, 2, 0, 2, 2, 2, 0, 0]
+        for argv, (code, out, err, written) in zip(calls * 2, reused):
+            if "--out" in argv:
+                assert written is not None and out == ""
+            else:
+                assert written is None and (out == "") == (code == 2)
+        assert "required" in reused[2][2]

@@ -1,0 +1,391 @@
+"""Word, spec and generator maps take their values on 1..max_n in one pass.
+
+Every consumer of a map (membership probes, preimage structure, the
+divisibility laws, time-changed counts) is checked against the per-n
+reference in oracles.py, on the same map as a range map and as a plain
+callable, including the errors and the order in which they surface.
+"""
+
+import random
+from math import lcm
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import dynzeta.exponents as exponents
+from dynzeta.cli import parse_map
+from dynzeta.compiler import compile_spec
+from dynzeta.exponents import (
+    ExponentFunction,
+    ExponentSpec,
+    TableRangeError,
+    _spec_map,
+    apply_spec,
+    check_divisibility_properties,
+    membership_test,
+    preimage_structure,
+)
+from dynzeta.series import FixSource, SourceRangeError, _map_values, time_change_fix
+from dynzeta.words import Generator, Word, eval_word, random_word
+
+from oracles import (
+    MAP_VALUE,
+    divisibility_counterexamples,
+    pointwise_membership,
+    pointwise_preimage,
+    pointwise_time_change_fix,
+    pointwise_values,
+    random_valid_spec_tables,
+)
+
+B, C = Generator.bump, Generator.cap
+PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def build_spec(tables):
+    return ExponentSpec(
+        {p: ExponentFunction(shape, tuple(values)) for p, (shape, values) in tables.items()}
+    )
+
+
+def outcome(thunk):
+    """("ok", result) or ("raised", exception class, message)."""
+    try:
+        return "ok", thunk()
+    except ValueError as err:
+        return "raised", type(err), str(err)
+
+
+def prefix_then_error(values):
+    """The values an iterator yields before it raises, and what it raised."""
+    out = []
+    try:
+        for v in values:
+            out.append(v)
+    except ValueError as err:
+        return out, (type(err), str(err))
+    return out, None
+
+
+def pointwise_prefix(f, max_n):
+    out = []
+    for n in range(1, max_n + 1):
+        try:
+            out.append(f(n))
+        except ValueError as err:
+            return out, (type(err), str(err))
+    return out, None
+
+
+def membership_tuple(report):
+    w = report.witness
+    if w is None:
+        return None
+    return w.k, w.verdict.failure, w.verdict.index, w.verdict.value
+
+
+def preimage_tuple(s):
+    return s.outcome, s.step, s.witness
+
+
+def divisibility_dict(report):
+    return {
+        "divides": report.divides.counterexample,
+        "coprime_lcm": report.coprime_lcm.counterexample,
+        "prime_support": report.prime_support.counterexample,
+    }
+
+
+def random_spec(rng, primes=PRIMES, **kw):
+    return build_spec(random_valid_spec_tables(rng, primes, **kw))
+
+
+def random_range_maps(seed):
+    """A random word, a compiled word, a generator map and a spec map."""
+    rng = random.Random(seed)
+    word = random_word(seed, rng.randint(0, 14), 13, 4)
+    compiled = compile_spec(random_spec(rng, max_len=6)).word
+    gen = Generator(rng.choice("gh"), rng.choice(PRIMES), rng.randint(0, 4))
+    spec = random_spec(rng, primes=(*PRIMES, 10007), max_len=6, unbounded_min_len=10)
+    return {
+        "word": word.as_map(),
+        "compiled": compiled.as_map(),
+        "gen": Word((gen,)).as_map(),
+        "spec": _spec_map(spec),
+    }
+
+
+class TestRangeValues:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 700))
+    def test_range_path_matches_pointwise(self, seed, max_n):
+        for name, f in random_range_maps(seed).items():
+            assert list(_map_values(f, max_n)) == [f(n) for n in range(1, max_n + 1)], name
+
+    @given(st.integers(0, 10**6), st.integers(0, 14), st.integers(1, 400))
+    def test_word_map_is_eval_word(self, seed, length, max_n):
+        word = random_word(seed, length, 13, 4)
+        assert list(_map_values(word.as_map(), max_n)) == [
+            eval_word(word, n) for n in range(1, max_n + 1)
+        ]
+
+    def test_parsed_generator_map(self):
+        for text, gen in [("gen:h:3:2", C(3, 2)), ("gen:g:2:0", B(2, 0)), ("generator:g:5:1", B(5, 1))]:
+            f = parse_map(text)
+            assert list(_map_values(f, 300)) == [eval_word(Word((gen,)), n) for n in range(1, 301)]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 500))
+    def test_spec_of_both_shapes_with_short_tables(self, seed, max_n):
+        # short unbounded tables included: same prefix, then the same error
+        spec = random_spec(random.Random(seed), primes=(*PRIMES, 509, 10007), max_len=5)
+        got = prefix_then_error(_map_values(_spec_map(spec), max_n))
+        assert got == pointwise_prefix(lambda n: apply_spec(spec, n), max_n)
+
+    def test_spec_prime_above_max_n_applies_its_value_at_zero(self):
+        spec = build_spec({10007: ("bounded", [2]), 2: ("unbounded", [1, 2, 3, 4, 5, 6, 7])})
+        assert list(_map_values(_spec_map(spec), 64)) == [
+            apply_spec(spec, n) for n in range(1, 65)
+        ]
+        assert apply_spec(spec, 1) == 2 * 10007**2
+
+    def test_short_table_fails_at_smallest_power(self):
+        # 2**3 = 8 for prime 2 against 3**2 = 9 for prime 3: n = 8 comes first
+        spec = build_spec({2: ("unbounded", [0, 1, 2]), 3: ("unbounded", [0, 1])})
+        values, error = prefix_then_error(_map_values(_spec_map(spec), 100))
+        assert values == [apply_spec(spec, n) for n in range(1, 8)]
+        assert error == (TableRangeError, "table for prime 2 covers exponents 0..2, asked for 3")
+        with pytest.raises(TableRangeError) as err:
+            apply_spec(spec, 8)
+        assert str(err.value) == error[1]
+
+    def test_short_table_beyond_max_n_is_not_reached(self):
+        spec = build_spec({3: ("unbounded", [0, 1])})
+        assert list(_map_values(_spec_map(spec), 8)) == [1, 2, 3, 4, 5, 6, 7, 8]
+
+
+class TestRangePathIsTaken:
+    def test_consumers_never_map_one_n_at_a_time(self, monkeypatch):
+        spec = build_spec({2: ("unbounded", list(range(1, 12))), 3: ("bounded", [0, 2])})
+        maps = [
+            _spec_map(spec),
+            random_word(4, 12, 7, 3).as_map(),
+            parse_map("gen:g:3:1"),
+        ]
+
+        def refuse(*args):
+            raise AssertionError("mapped one n at a time")
+
+        monkeypatch.setattr(exponents, "apply_spec", refuse)
+        monkeypatch.setattr("dynzeta.words.eval_word", refuse)
+        for f in maps:
+            membership_test(f, 10, 300)
+            preimage_structure(f, 6, 300)
+            check_divisibility_properties(f, 300)
+            time_change_fix(f, FixSource.geometric(2), 30)
+
+
+class TestConsumersAgainstPointwise:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 60), st.integers(1, 30))
+    def test_membership(self, seed, max_n, max_k):
+        for name, f in random_range_maps(seed).items():
+            got = membership_tuple(membership_test(f, max_k, max_n))
+            assert got == pointwise_membership(f, max_k, max_n), name
+            plain = membership_tuple(membership_test(lambda n: f(n), max_k, max_n))
+            assert got == plain, name
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 12), st.integers(0, 800))
+    def test_preimage(self, seed, k, extra):
+        max_n = k + extra
+        for name, f in random_range_maps(seed).items():
+            got = preimage_tuple(preimage_structure(f, k, max_n))
+            assert got == pointwise_preimage(f, k, max_n), name
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 150))
+    def test_divisibility(self, seed, max_n):
+        for name, f in random_range_maps(seed).items():
+            got = divisibility_dict(check_divisibility_properties(f, max_n))
+            assert got == divisibility_counterexamples(pointwise_values(f, max_n)), name
+            # a member of the monoid obeys every law
+            assert got == {"divides": None, "coprime_lcm": None, "prime_support": None}
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 40), st.integers(1, 7))
+    def test_time_change_fix(self, seed, length, k):
+        source = FixSource.single_orbit(k)
+        for name, f in random_range_maps(seed).items():
+            got = time_change_fix(f, source, length)
+            assert got == pointwise_time_change_fix(f, source.value, length), name
+
+
+class TestShortTablesInEveryConsumer:
+    SPEC = build_spec({2: ("unbounded", [0, 1, 2, 3]), 5: ("unbounded", [1, 2])})  # fails at 16
+
+    def pointwise(self):
+        return lambda n: apply_spec(self.SPEC, n)
+
+    @pytest.mark.parametrize(
+        "consume",
+        [
+            lambda f: membership_test(f, 12, 40),
+            lambda f: preimage_structure(f, 4, 40),
+            lambda f: check_divisibility_properties(f, 40),
+            lambda f: time_change_fix(f, FixSource.geometric(2), 40),
+        ],
+    )
+    def test_same_table_range_error(self, consume):
+        got = outcome(lambda: consume(_spec_map(self.SPEC)))
+        assert got == outcome(lambda: consume(self.pointwise()))
+        assert got == (
+            "raised", TableRangeError, "table for prime 2 covers exponents 0..3, asked for 4"
+        )
+
+    def test_below_the_failing_n_all_consumers_run(self):
+        f = _spec_map(self.SPEC)
+        assert not membership_test(f, 12, 15).refuted
+        assert check_divisibility_properties(f, 15).all_hold
+
+    def test_source_failure_before_the_table_is_reported_first(self):
+        # the table source covers n <= 20; f(4) = 5 * 4 = 20, f(5) = 5**2 = 25
+        source = FixSource.table(list(range(1, 21)))
+        for f in (_spec_map(self.SPEC), self.pointwise()):
+            with pytest.raises(SourceRangeError) as err:
+                time_change_fix(f, source, 40)
+            assert str(err.value) == "table source covers n = 1..20, asked for n = 25"
+
+    def test_table_failure_before_the_source_is_reported_first(self):
+        source = FixSource.table(list(range(1, 10**4)))
+        got = outcome(lambda: time_change_fix(_spec_map(self.SPEC), source, 40))
+        assert got == outcome(lambda: pointwise_time_change_fix(self.pointwise(), source.value, 40))
+        assert got[1] is TableRangeError
+
+
+class TestPlainCallables:
+    BAD = [
+        (lambda n: n if n < 5 else 2.0, "2.0", 5),
+        (lambda n: n - 3, "-2", 1),
+        (lambda n: 0 if n == 7 else n, "0", 7),
+        (lambda n: None if n == 3 else n, "None", 3),
+    ]
+
+    @pytest.mark.parametrize("f, shown, at", BAD)
+    def test_membership_and_divisibility_reject_bad_values(self, f, shown, at):
+        message = f"map produced {shown} at n={at}; expected an integer >= 1"
+        assert message == MAP_VALUE.format(n=at, m=f(at))
+        expected = outcome(lambda: pointwise_values(f, 20))
+        assert expected == ("raised", ValueError, message)
+        assert outcome(lambda: membership_test(f, 5, 20)) == expected
+        assert outcome(lambda: check_divisibility_properties(f, 20)) == expected
+
+    @pytest.mark.parametrize("f, shown, at", BAD[:3])
+    def test_preimage_takes_values_as_they_come(self, f, shown, at):
+        for k in (1, 2, 3):
+            got = preimage_tuple(preimage_structure(f, k, 20))
+            assert got == pointwise_preimage(f, k, 20)
+
+    @pytest.mark.parametrize("f, shown, at", BAD)
+    def test_time_change_fix_message(self, f, shown, at):
+        source = FixSource.geometric(2)
+        got = outcome(lambda: time_change_fix(f, source, 20))
+        assert got == outcome(lambda: pointwise_time_change_fix(f, source.value, 20))
+        assert got[2] == f"time-change value h({at}) = {shown}; expected an integer >= 1"
+
+    def test_map_error_after_a_source_failure_is_not_reached(self):
+        def h(n):
+            if n == 5:
+                raise ZeroDivisionError("h is not defined at 5")
+            return 10 * n
+
+        source = FixSource.table([1] * 25)
+        with pytest.raises(SourceRangeError):
+            time_change_fix(h, source, 8)
+
+    def test_values_are_taken_once(self):
+        calls = []
+
+        def f(n):
+            calls.append(n)
+            return n
+
+        check_divisibility_properties(f, 30)
+        membership_test(f, 6, 30)
+        preimage_structure(f, 3, 30)
+        time_change_fix(f, FixSource.constant(1), 30)
+        assert calls == list(range(1, 31)) * 4
+
+
+class TestPrimeSupport:
+    @given(
+        st.integers(1, 10**6),
+        st.lists(
+            st.tuples(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(0, 40)),
+            min_size=1, max_size=80,
+        ),
+    )
+    def test_high_powers_against_factorizing_scan(self, f1, powers):
+        # values are prime powers times n, with exponents far above v_p(n)
+        values = [f1] + [p**e * n for n, (p, e) in enumerate(powers, start=2)]
+        got = divisibility_dict(check_divisibility_properties(lambda n: values[n - 1], len(values)))
+        assert got == divisibility_counterexamples(values)
+
+    @pytest.mark.parametrize(
+        "f, witness",
+        [
+            (lambda n: 3 * n if n > 1 else 1, (3, 2)),
+            (lambda n: 6 * n if n > 1 else 2, (3, 2)),
+            (lambda n: n**7 if n != 12 else 12 * 7, (7, 12)),
+            (lambda n: n**n * (11 if n == 9 else 1), (11, 9)),
+        ],
+    )
+    def test_witness_names_the_smallest_prime(self, f, witness):
+        values = [f(n) for n in range(1, 31)]
+        got = check_divisibility_properties(f, 30).prime_support
+        assert got.counterexample == witness == divisibility_counterexamples(values)["prime_support"]
+
+    def test_factorize_only_on_the_failing_value(self, monkeypatch):
+        calls = []
+        real = exponents.factorize
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(exponents, "factorize", counting)
+        rng = random.Random(8)
+        for _ in range(10):
+            assert check_divisibility_properties(_spec_map(random_spec(rng, max_len=9, unbounded_min_len=9)), 300).all_hold
+        assert check_divisibility_properties(lambda n: n**n, 300).prime_support.holds
+        assert calls == []
+        report = check_divisibility_properties(lambda n: 3 * n if n > 1 else 2, 300)
+        assert report.prime_support.counterexample == (3, 2)
+        assert calls == [2, 6]
+
+
+class TestMembershipModulus:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(st.integers(1, 10**60), min_size=1, max_size=40),
+        st.integers(41, 60),
+    )
+    def test_large_max_k_against_full_values(self, values, max_k):
+        f = lambda n: values[n - 1]
+        got = membership_tuple(membership_test(f, max_k, len(values)))
+        assert got == pointwise_membership(f, max_k, len(values))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(1, 48), min_size=1, max_size=40), st.integers(41, 48))
+    def test_multiples_of_the_modulus(self, factors, max_k):
+        # values that are multiples of lcm(1..max_k) reduce to 0
+        modulus = lcm(*range(1, max_k + 1))
+        f = lambda n: factors[n - 1] * modulus + (n % 3 == 0)
+        got = membership_tuple(membership_test(f, max_k, len(factors)))
+        assert got == pointwise_membership(f, max_k, len(factors))
+
+    def test_tower_map_beyond_forty(self):
+        f = lambda n: n**n
+        got = membership_tuple(membership_test(f, 45, 30))
+        assert got == pointwise_membership(f, 45, 30)
+        assert got[:3] == (8, "dold", 6)
