@@ -30,7 +30,7 @@ from .exponents import (
     validate_spec,
 )
 from .sequences import check_realizable
-from .series import FixSource, is_zeta, time_change_fix, zeta_from_fix
+from .series import FixSource, _RangeMap, is_zeta, time_change_fix, zeta_from_fix
 from .words import (
     Generator,
     Word,
@@ -61,8 +61,10 @@ def _load_json(path: str):
 def parse_map(text: str) -> Callable[[int], int]:
     """Resolve a map name to a callable on the positive integers.
 
-    `gen:`, `word:` and `spec:` maps also carry a range path, so the
-    consumers take their values on 1..max_n in one pass.
+    `gen:`, `word:`, `spec:`, `nn` and `pow:B` maps also carry a range path,
+    so the consumers take their values on 1..max_n in one pass. `nn` and
+    `pow:B` carry a residue path too, so consumers that read only f(n) mod M
+    (the membership probes, the preimage structure) never build the powers.
     """
     name, _, rest = text.partition(":")
     if name == "identity":
@@ -72,9 +74,17 @@ def parse_map(text: str) -> Callable[[int], int]:
         return lambda n: c * n
     if name == "pow":
         b = _non_negative_int(rest, "pow exponent")
-        return lambda n: n**b
+        return _RangeMap(
+            lambda n: n**b,
+            lambda max_n: [n**b for n in range(1, max_n + 1)],
+            lambda max_n, modulus: [pow(n, b, modulus) for n in range(1, max_n + 1)],
+        )
     if name == "nn":
-        return lambda n: n**n
+        return _RangeMap(
+            lambda n: n**n,
+            lambda max_n: [n**n for n in range(1, max_n + 1)],
+            lambda max_n, modulus: [pow(n, n, modulus) for n in range(1, max_n + 1)],
+        )
     if name == "succ":
         return lambda n: n + 1
     if name in ("gen", "generator"):

@@ -35,10 +35,13 @@ from .exponents import (
     validate_spec,
 )
 from .words import (
+    BUMP,
+    CAP,
     Generator,
     Word,
     _exponent_table,
     _first_difference,
+    _generator,
     _max_exponent,
     eval_word,
 )
@@ -103,13 +106,14 @@ def compile_spec(spec: ExponentSpec) -> CompileResult:
             top = len(fn.values) - 1
             while top > 0 and fn.values[top - 1] == eventual:
                 top -= 1
-            for t in range(top, -1, -1):
-                bumps.extend(block_gadget(p, t, fn.value(t)).gens)
-            caps.append(Generator.cap(p, eventual))
+            caps.append(_generator(CAP, p, eventual))
         else:
-            for t in range(fn.table_bound, -1, -1):
-                bumps.extend(block_gadget(p, t, fn.value(t)).gens)
-            agreement[p] = fn.table_bound
+            top = fn.table_bound
+            agreement[p] = top
+        # the bumps of block_gadget(p, t, fn.value(t)), t descending; the
+        # spec checked p, and validity puts each target at or above t
+        for t in range(top, -1, -1):
+            bumps.extend(_generator(BUMP, p, level) for level in range(t, fn.value(t)))
     return CompileResult(Word(tuple(bumps + caps)), agreement)
 
 

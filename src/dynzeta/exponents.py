@@ -21,11 +21,18 @@ word (`words._apply_tables`), with its exponent functions as the tables.
 The map consumers here (membership probes, preimage structure, the
 divisibility laws), like series.time_change_fix, take a map's values on
 1..N once: in one range pass for word, spec and generator maps, and one
-call per n for any other callable.
+call per n for any other callable. The membership probes and the preimage
+structure read only f(n) modulo a small M, so they ask for residues
+(series._map_residues): a map with a residue path, such as the CLI's `nn`
+and `pow:B`, computes them without its full values, and any other map's
+values are taken once and reduced.
 
 Membership testing is one-sided: a single-orbit time change that fails the
 realizability check refutes membership conclusively, while passing every
-probe proves nothing. The API therefore never answers "is a member".
+probe proves nothing. The API therefore never answers "is a member". The
+probes are linear in the indicator of k | f(n), so the probes of a block of
+orbit lengths run as one Moebius transform of integers packing one lane per
+length, and the lanes are read in order of k.
 """
 
 from __future__ import annotations
@@ -35,8 +42,8 @@ from math import gcd, lcm
 from typing import Callable, Iterator, Mapping
 
 from .arith import factorize, is_prime, primes_up_to
-from .sequences import RealizabilityVerdict, check_realizable
-from .series import _map_values, _RangeMap
+from .sequences import DOLD, SIGN, RealizabilityVerdict, mobius_transform
+from .series import _map_residues, _map_values, _RangeMap
 from .words import Word, _apply_tables, _exponent_table, _max_exponent
 
 __all__ = [
@@ -280,25 +287,28 @@ class PreimageStructure:
 def preimage_structure(f: Callable[[int], int], k: int, max_n: int) -> PreimageStructure:
     """Classify the preimage of the multiples of k under f, up to max_n.
 
-    The values f(1..max_n) are taken once, in one pass for word, spec and
-    generator maps. Values are used as they come: only `m % k` is asked of
-    them.
+    Only f(n) mod k is read, through series._map_residues: the CLI's power
+    maps compute it with pow(n, e, k) and never build their values; any
+    other map's values are taken once, in one pass for word, spec and
+    generator maps, and used as they come, with no validation: only
+    `m % k` is asked of them.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if max_n < k:
         raise ValueError(f"max_n = {max_n} must be at least k = {k}")
-    hits = [m % k == 0 for m in _map_values(f, max_n, None)]
+    residues = _map_residues(f, max_n, k, None)
     try:
-        step = hits.index(True) + 1
+        step = residues.index(0) + 1
     except ValueError:
         return PreimageStructure.empty(k, max_n)
     if k % step != 0:
         return PreimageStructure.violation(k, max_n, step)
-    for n in range(1, max_n + 1):
-        if hits[n - 1] != (n % step == 0):
-            return PreimageStructure.violation(k, max_n, n)
-    return PreimageStructure.progression(k, max_n, step)
+    # a progression has its zeros at the multiples of step and nowhere else
+    if residues.count(0) == residues[step - 1 :: step].count(0) == max_n // step:
+        return PreimageStructure.progression(k, max_n, step)
+    n = next(n for n, r in enumerate(residues, start=1) if (r == 0) != (n % step == 0))
+    return PreimageStructure.violation(k, max_n, n)
 
 
 @dataclass(frozen=True)
@@ -332,33 +342,81 @@ class MembershipReport:
         return f"refuted by orbit length k={w.k}: {w.verdict.describe()}"
 
 
+_LANES = 32  # orbit lengths probed by one packed transform
+
+
 def membership_test(f: Callable[[int], int], max_k: int, max_n: int) -> MembershipReport:
     """Probe f with every single-orbit system of length k <= max_k.
 
     The time change of one orbit of length k by f counts k at each n with
-    k | f(n); the smallest k whose probe fails realizability is returned.
-    The values f(1..max_n) are taken once (in one pass for word, spec and
-    generator maps) and each is reduced once modulo L = lcm(1..max_k):
-    every probed k divides L, so k | f(n) exactly when k | f(n) mod L, and
-    the probes never touch the full values again. When L exceeds every
-    value the reduction changes nothing and is skipped.
+    k | f(n); the smallest k whose probe fails realizability is returned,
+    with the verdict check_realizable gives that probe.
+
+    The probes read only f(n) mod M, where M is the lcm of the probed
+    lengths, so the power maps of the CLI give residues without building
+    their values, and any other map's values are taken once (in one pass
+    for word, spec and generator maps) and reduced, not at all when M
+    exceeds every value. The probes of one block of up to 32 consecutive
+    lengths share one Moebius transform (see _probe_block). Blocks run in
+    order of k, each with its own M, and stop at the first that fails, so
+    a huge max_k builds no lcm(1..max_k).
     """
     if max_k < 1 or max_n < 1:
         raise ValueError("max_k and max_n must be >= 1")
-    values = list(_map_values(f, max_n))
-    modulus, top = 1, max(values)
-    for k in range(2, max_k + 1):
-        modulus = lcm(modulus, k)
-        if modulus > top:
-            break
+    if isinstance(f, _RangeMap) and f.residues is not None:
+        def residues(modulus):
+            return _map_residues(f, max_n, modulus)
     else:
-        values = [m % modulus for m in values]
-    for k in range(1, max_k + 1):
-        probe = [k if v % k == 0 else 0 for v in values]
-        verdict = check_realizable(probe)
-        if not verdict.passed:
-            return MembershipReport(max_k, max_n, MembershipWitness(k, verdict))
+        values = list(_map_values(f, max_n))
+        top = max(values)
+
+        def residues(modulus):
+            return values if modulus > top else [m % modulus for m in values]
+    width = max_n.bit_length() + 2
+    for start in range(1, max_k + 1, _LANES):
+        ks = range(start, min(start + _LANES, max_k + 1))
+        modulus = lcm(*ks)
+        witness = _probe_block(ks, modulus, residues(modulus), width)
+        if witness is not None:
+            return MembershipReport(max_k, max_n, witness)
     return MembershipReport(max_k, max_n)
+
+
+def _probe_block(ks: range, modulus: int, residues: list[int], width: int) -> MembershipWitness | None:
+    """The first failing probe among the orbit lengths ks, or None.
+
+    The Moebius transform is linear, and the probe of k is k times the
+    indicator of k | f(n), so its transform is k * c with c the transform
+    of that indicator. Each n gets one integer holding, in bits
+    width*j .. width*(j+1) - 1, the indicator of ks[j] | f(n); it is read
+    off gcd(f(n) mod modulus, modulus), once per distinct gcd. One
+    mobius_transform of these integers transforms every lane at once.
+    Every |c_n| <= 2**omega(n) <= n < 2**(width - 2), so adding half a
+    lane to every lane makes each one non-negative and exact to read.
+    Lanes are read in order of k and each from the smallest n, sign before
+    Dold, which is the verdict check_realizable gives the probe.
+    """
+    bits = [(k, 1 << width * j) for j, k in enumerate(ks)]
+    packed, lanes = [], {}
+    for r in residues:
+        g = gcd(r, modulus)
+        x = lanes.get(g)
+        if x is None:
+            x = lanes[g] = sum([bit for k, bit in bits if g % k == 0])
+        packed.append(x)
+    half, mask = 1 << width - 1, (1 << width) - 1
+    bias = sum(half << width * j for j in range(len(ks)))
+    # a transformed integer of 0 is 0 in every lane, and passes every probe
+    moved = [(n, c + bias) for n, c in enumerate(mobius_transform(packed), start=1) if c]
+    for j, k in enumerate(ks):
+        shift = width * j
+        for n, c in moved:
+            b = k * ((c >> shift & mask) - half)
+            if b < 0:
+                return MembershipWitness(k, RealizabilityVerdict(SIGN, n, b))
+            if b % n:
+                return MembershipWitness(k, RealizabilityVerdict(DOLD, n, b))
+    return None
 
 
 @dataclass(frozen=True)

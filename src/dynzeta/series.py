@@ -279,13 +279,17 @@ def series_pow(f: Series, r) -> Series:
 class _RangeMap:
     """A map on n >= 1 that also has a range path: `values(max_n)` iterates
     its values on 1..max_n, computed in one pass, and raises only after the
-    values before the first n it cannot map. Calling it maps one n."""
+    values before the first n it cannot map. Calling it maps one n. The
+    optional residue path `residues(max_n, modulus)` lists f(1..max_n) mod
+    modulus without building the values."""
 
-    __slots__ = ("point", "values")
+    __slots__ = ("point", "values", "residues")
 
-    def __init__(self, point: Callable[[int], int], values: Callable[[int], Iterable[int]]):
+    def __init__(self, point: Callable[[int], int], values: Callable[[int], Iterable[int]],
+                 residues: Callable[[int, int], list[int]] | None = None):
         self.point = point
         self.values = values
+        self.residues = residues
 
     def __call__(self, n: int) -> int:
         return self.point(n)
@@ -298,10 +302,10 @@ def _map_values(f: Callable[[int], int], max_n: int,
                 invalid: str | None = _INVALID_VALUE) -> Iterator[int]:
     """f(1), ..., f(max_n) in order, each taken once.
 
-    A map with a range path (word, spec and generator maps) gives them in
-    one pass. A plain callable is called per n, and unless `invalid` is None
-    each value must be an int >= 1, else ValueError(invalid.format(n=n, m=m))
-    at the first bad n. Either way nothing after the first failing n is
+    A map with a range path (word, spec and generator maps, and the CLI's
+    power maps) gives them in one pass. A plain callable is called per n,
+    and unless `invalid` is None each value must be an int >= 1, else
+    ValueError(invalid.format(n=n, m=m)) at the first bad n. Either way nothing after the first failing n is
     produced, so a consumer sees values and errors in the order of n.
     """
     if isinstance(f, _RangeMap):
@@ -312,6 +316,20 @@ def _map_values(f: Callable[[int], int], max_n: int,
         if invalid is not None and (not isinstance(m, int) or m < 1):
             raise ValueError(invalid.format(n=n, m=m))
         yield m
+
+
+def _map_residues(f: Callable[[int], int], max_n: int, modulus: int,
+                  invalid: str | None = _INVALID_VALUE) -> list[int]:
+    """[f(1) % modulus, ..., f(max_n) % modulus].
+
+    A map with a residue path (the CLI's power maps) answers without
+    building its values. Any other map's values are taken once through
+    _map_values, validated there unless `invalid` is None, and reduced as
+    they come, so errors still surface in the order of n.
+    """
+    if isinstance(f, _RangeMap) and f.residues is not None:
+        return f.residues(max_n, modulus)
+    return [m % modulus for m in _map_values(f, max_n, invalid)]
 
 
 def time_change_fix(h: Callable[[int], int], source: FixSource, length: int) -> list[int]:

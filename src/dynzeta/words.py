@@ -76,6 +76,18 @@ class Generator:
         return f"{self.kind}({self.prime},{self.level})"
 
 
+def _generator(kind: str, prime: int, level: int) -> Generator:
+    """Generator(kind, prime, level) without its checks, for the internal
+    paths that build generators of a prime already known to be prime: the
+    caps of normal_form, the bumps and caps of compile_spec and the draws of
+    random_word. Their kinds and levels are valid by construction."""
+    gen = object.__new__(Generator)
+    object.__setattr__(gen, "kind", kind)
+    object.__setattr__(gen, "prime", prime)
+    object.__setattr__(gen, "level", level)
+    return gen
+
+
 def eval_generator(gen: Generator, n: int) -> int:
     if n < 1:
         raise ValueError(f"generators act on n >= 1, got {n}")
@@ -261,7 +273,7 @@ def normal_form(word: Word) -> Word:
     for p in sorted(bumps):
         gens.extend(bumps[p])
     for p in sorted(caps):
-        gens.append(Generator.cap(p, caps[p]))
+        gens.append(_generator(CAP, p, caps[p]))
     return Word(tuple(gens))
 
 
@@ -293,7 +305,7 @@ def random_word(seed: int, length: int, max_prime: int, max_level: int) -> Word:
         raise ValueError(f"no primes <= {max_prime}")
     rng = random.Random(seed)
     gens = tuple(
-        Generator(
+        _generator(
             rng.choice((BUMP, CAP)),
             rng.choice(primes),
             rng.randint(0, max_level),

@@ -11,7 +11,9 @@ equality and the per-n compile check are the reference versions of its
 per-prime exponent-table kernels. The per-n map consumers (membership
 probes, preimage structure, time-changed counts), with the factorizing
 prime-support scan of divisibility_counterexamples, are the reference
-versions of the consumers that take a map's values once.
+versions of the consumers that take a map's values once, and the per-probe
+membership loop, one sieve per orbit length, is the reference version of
+the probes that share one packed transform.
 """
 
 from fractions import Fraction
@@ -370,3 +372,37 @@ def pointwise_time_change_fix(h, count, length):
             raise ValueError(f"time-change value h({n}) = {m!r}; expected an integer >= 1")
         out.append(count(m))
     return out
+
+
+def _sieve_transform(entries):
+    """The Moebius transform as a per-prime sieve: for each prime p (found
+    by trial division), b_{mp} -= b_m for m from N // p down to 1."""
+    b = [0, *entries]
+    n_max = len(entries)
+    for p in range(2, n_max + 1):
+        if all(p % q for q in range(2, int(p**0.5) + 1)):
+            for m in range(n_max // p, 0, -1):
+                b[m * p] -= b[m]
+    return b[1:]
+
+
+def per_probe_membership(values, max_k):
+    """(k, failure, index, value) for the smallest k <= max_k whose probe
+    fails, else None, with f(n) = values[n - 1]: one sieve per probe, run in
+    order of k. The values are reduced once modulo L = lcm(1..max_k), and
+    not at all once L exceeds every value."""
+    modulus, top = 1, max(values)
+    for k in range(2, max_k + 1):
+        modulus = modulus * k // gcd(modulus, k)
+        if modulus > top:
+            break
+    else:
+        values = [m % modulus for m in values]
+    for k in range(1, max_k + 1):
+        transformed = _sieve_transform([k if v % k == 0 else 0 for v in values])
+        for n, b in enumerate(transformed, start=1):
+            if b < 0:
+                return k, "sign", n, b
+            if b % n != 0:
+                return k, "dold", n, b
+    return None

@@ -3,34 +3,50 @@
 Every consumer of a map (membership probes, preimage structure, the
 divisibility laws, time-changed counts) is checked against the per-n
 reference in oracles.py, on the same map as a range map and as a plain
-callable, including the errors and the order in which they surface.
+callable, including the errors and the order in which they surface. The
+power maps' residue paths are checked against their full values, and the
+packed membership probes against the per-probe loop, report for report and
+byte for byte on the CLI.
 """
 
+import json
 import random
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dynzeta.exponents as exponents
-from dynzeta.cli import parse_map
+from dynzeta.cli import main, parse_map
 from dynzeta.compiler import compile_spec
 from dynzeta.exponents import (
     ExponentFunction,
     ExponentSpec,
+    MembershipReport,
+    MembershipWitness,
     TableRangeError,
+    _LANES,
     _spec_map,
     apply_spec,
     check_divisibility_properties,
     membership_test,
     preimage_structure,
 )
-from dynzeta.series import FixSource, SourceRangeError, _map_values, time_change_fix
+from dynzeta.sequences import RealizabilityVerdict
+from dynzeta.series import (
+    FixSource,
+    SourceRangeError,
+    _map_residues,
+    _map_values,
+    time_change_fix,
+)
 from dynzeta.words import Generator, Word, eval_word, random_word
 
 from oracles import (
     MAP_VALUE,
     divisibility_counterexamples,
+    per_probe_membership,
     pointwise_membership,
     pointwise_preimage,
     pointwise_time_change_fix,
@@ -40,6 +56,7 @@ from oracles import (
 
 B, C = Generator.bump, Generator.cap
 PRIMES = (2, 3, 5, 7, 11, 13)
+SPEC_DIR = Path(__file__).resolve().parent.parent / "demos" / "specs"
 
 
 def build_spec(tables):
@@ -389,3 +406,178 @@ class TestMembershipModulus:
         got = membership_tuple(membership_test(f, 45, 30))
         assert got == pointwise_membership(f, 45, 30)
         assert got[:3] == (8, "dold", 6)
+
+
+POWER_MAPS = ("nn", "pow:0", "pow:1", "pow:2", "pow:3")
+
+
+def reference_report(f, max_k, max_n):
+    """The MembershipReport of the per-probe loop on f's full values."""
+    found = per_probe_membership(pointwise_values(f, max_n), max_k)
+    if found is None:
+        return MembershipReport(max_k, max_n)
+    k, failure, n, b = found
+    return MembershipReport(max_k, max_n, MembershipWitness(k, RealizabilityVerdict(failure, n, b)))
+
+
+def every_kind_of_map(seed):
+    """Word, compiled word, generator and spec maps, the CLI's named maps,
+    and each of them again as a plain callable."""
+    maps = random_range_maps(seed)
+    for text in (*POWER_MAPS, "succ", "identity", "mul:6", "gen:h:2:1"):
+        maps[text] = parse_map(text)
+    for name, f in list(maps.items()):
+        maps[f"plain {name}"] = lambda n, f=f: f(n)
+    return maps
+
+
+def bumped_at(n0, factor):
+    """The identity, except that n0 goes to factor * n0."""
+    return lambda n: factor * n if n == n0 else n
+
+
+class TestPackedProbes:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 150), st.integers(1, 2 * _LANES + 8))
+    def test_every_kind_of_map_against_per_probe_loop(self, seed, max_n, max_k):
+        for name, f in every_kind_of_map(seed).items():
+            assert membership_test(f, max_k, max_n) == reference_report(f, max_k, max_n), name
+
+    @pytest.mark.parametrize("max_k, max_n", [(1, 1), (1, 300), (70, 1), (3 * _LANES + 5, 2)])
+    def test_smallest_ranges(self, max_k, max_n):
+        for name, f in every_kind_of_map(max_k + max_n).items():
+            assert membership_test(f, max_k, max_n) == reference_report(f, max_k, max_n), name
+
+    @pytest.mark.parametrize("max_k", [_LANES, _LANES + 1, 2 * _LANES, 3 * _LANES + 5])
+    def test_more_than_one_block(self, max_k):
+        # members pass every block; the tower map fails in the first one
+        for text in ("identity", "pow:2", "gen:g:3:1"):
+            report = membership_test(parse_map(text), max_k, 400)
+            assert report == reference_report(parse_map(text), max_k, 400) == MembershipReport(max_k, 400)
+        assert membership_test(parse_map("nn"), max_k, 60) == reference_report(parse_map("nn"), max_k, 60)
+
+    @pytest.mark.parametrize(
+        "f, max_k, k",
+        [
+            (bumped_at(16, 2), 40, 32),  # the last lane of the first block
+            (bumped_at(32, 2), 70, 64),  # the last lane of the second block
+            (bumped_at(2, 97), 100, 97),  # the first lane of the fourth block
+            (bumped_at(2, 37), 37, 37),  # the last lane of a partial block
+            (lambda n: n + 1, 50, 2),  # the first lane that can fail (k = 1 never does)
+        ],
+    )
+    def test_refutation_at_the_edges_of_a_block(self, f, max_k, k):
+        assert _LANES == 32  # the block edges the cases above are placed on
+        report = membership_test(f, max_k, 200)
+        assert report == reference_report(f, max_k, 200)
+        assert report.witness.k == k
+
+    def test_sign_before_dold_at_the_same_n(self):
+        # 3 | f(n) for odd n and multiples of 3: the probe of 3 has b_2 = -3,
+        # negative and not divisible by 2
+        f = lambda n: 3 * n if n % 2 else n
+        report = membership_test(f, 24, 100)
+        assert report == reference_report(f, 24, 100)
+        assert report.witness == MembershipWitness(3, RealizabilityVerdict("sign", 2, -3))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(1, 48), min_size=1, max_size=40), st.integers(41, 60))
+    def test_multiples_of_the_modulus(self, factors, max_k):
+        modulus = lcm(*range(1, max_k + 1))
+        f = lambda n: factors[n - 1] * modulus + (n % 3 == 0)
+        assert membership_test(f, max_k, len(factors)) == reference_report(f, max_k, len(factors))
+
+    def test_values_are_taken_once_across_blocks(self):
+        calls = []
+
+        def f(n):
+            calls.append(n)
+            return n
+
+        assert not membership_test(f, 3 * _LANES, 50).refuted
+        assert calls == list(range(1, 51))
+
+    @pytest.mark.parametrize("f, shown, at", TestPlainCallables.BAD)
+    @pytest.mark.parametrize("max_k", [5, 2 * _LANES + 1])
+    def test_bad_values_raise_at_the_same_n(self, f, shown, at, max_k):
+        expected = outcome(lambda: reference_report(f, max_k, 20))
+        assert expected[0] == "raised"
+        assert outcome(lambda: membership_test(f, max_k, 20)) == expected
+
+
+class TestResiduePaths:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(POWER_MAPS), st.integers(1, 300), st.integers(1, 10**40))
+    def test_power_maps_against_full_values(self, name, max_n, modulus):
+        f = parse_map(name)
+        assert _map_residues(f, max_n, modulus) == [f(n) % modulus for n in range(1, max_n + 1)]
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 300), st.integers(1, 10**6))
+    def test_other_maps_reduce_their_values(self, seed, max_n, modulus):
+        for name, f in random_range_maps(seed).items():
+            assert _map_residues(f, max_n, modulus) == [
+                m % modulus for m in pointwise_values(f, max_n)
+            ], name
+
+    @pytest.mark.parametrize("f, shown, at", TestPlainCallables.BAD)
+    def test_plain_callables_are_validated(self, f, shown, at):
+        expected = outcome(lambda: pointwise_values(f, 20))
+        assert outcome(lambda: _map_residues(f, 20, 12)) == expected
+
+    @pytest.mark.parametrize("name", POWER_MAPS)
+    def test_probes_never_build_the_full_powers(self, name):
+        intact = parse_map(name)
+        f = parse_map(name)
+
+        def refuse(n):
+            raise AssertionError("built a full power")
+
+        f.point = f.values = refuse
+        for max_k in (24, 2 * _LANES + 3):
+            assert membership_test(f, max_k, 500) == reference_report(intact, max_k, 500)
+        for k in (1, 4, 6, 12):
+            assert preimage_tuple(preimage_structure(f, k, 500)) == pointwise_preimage(intact, k, 500)
+
+
+class TestMembershipCLI:
+    def expected_output(self, f, max_k, max_n):
+        try:
+            witness = reference_report(f, max_k, max_n).witness
+        except ValueError as err:
+            return 2, "", f"error: {err}\n"
+        if witness is None:
+            payload = {"result": "no-violation", "max_k": max_k, "max_n": max_n}
+        else:
+            v = witness.verdict
+            payload = {"result": "witness", "k": witness.k, "failure": v.failure,
+                       "index": v.index, "value": str(v.value)}
+        return (0 if witness is None else 1), json.dumps(payload, indent=2) + "\n", ""
+
+    def run(self, capsys, text, max_k, max_n):
+        code = main(["membership-test", "--map", text, "--max-k", str(max_k), "--max-n", str(max_n)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    CASES = [(1, 1), (8, 6), (24, 300), (2 * _LANES + 1, 120)]
+
+    @pytest.mark.parametrize(
+        "text",
+        [*POWER_MAPS, "succ", "identity", "mul:4", "gen:h:3:1", "gen:g:2:0",
+         f"spec:{SPEC_DIR / 'squaring.json'}", f"spec:{SPEC_DIR / 'constant2.json'}"],
+    )
+    @pytest.mark.parametrize("max_k, max_n", CASES)
+    def test_output_bytes_match_the_per_probe_loop(self, capsys, text, max_k, max_n):
+        expected = self.expected_output(parse_map(text), max_k, max_n)
+        assert self.run(capsys, text, max_k, max_n) == expected
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_word_files(self, capsys, tmp_path, seed):
+        word = random_word(seed, 10, 7, 3)
+        path = tmp_path / "word.json"
+        path.write_text(json.dumps(
+            {"gens": [{"kind": g.kind, "p": g.prime, "t": g.level} for g in word.gens]}
+        ))
+        for max_k, max_n in self.CASES:
+            expected = self.expected_output(word.as_map(), max_k, max_n)
+            assert self.run(capsys, f"word:{path}", max_k, max_n) == expected

@@ -3,7 +3,12 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dynzeta.words as words
 from dynzeta.arith import valuation
+from dynzeta.cli import parse_map
+from dynzeta.compiler import block_gadget, compile_spec
+from dynzeta.exponents import ExponentFunction, ExponentSpec
+from dynzeta.jsonio import word_from_json
 from dynzeta.words import (
     Generator,
     Witness,
@@ -78,6 +83,34 @@ class TestGenerator:
             C(2, -1)
         with pytest.raises(ValueError):
             eval_generator(B(2, 0), 0)
+
+    @pytest.mark.parametrize(
+        "build, p",
+        [
+            (lambda: B(4, 0), 4),
+            (lambda: Generator("h", 9, 1), 9),
+            (lambda: block_gadget(1, 0, 2), 1),
+            (lambda: word_from_json({"gens": [{"kind": "g", "p": 15, "t": 0}]}), 15),
+            (lambda: parse_map("gen:h:6:1"), 6),
+        ],
+    )
+    def test_public_construction_rejects_composites(self, build, p):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == f"{p} is not prime"
+
+    def test_internal_rebuilds_skip_the_primality_test(self, monkeypatch):
+        calls = []
+        real = words.is_prime
+        monkeypatch.setattr(words, "is_prime", lambda p: calls.append(p) or real(p))
+        word = random_word(7, 40, 13, 4)
+        nf = normal_form(word)
+        spec = ExponentSpec({2: ExponentFunction.bounded([1, 3, 3]), 5: ExponentFunction.unbounded([2, 2, 4])})
+        compiled = compile_spec(spec).word
+        assert calls == []
+        for w in (word, nf, compiled):
+            assert w == Word(tuple(Generator(g.kind, g.prime, g.level) for g in w.gens))
+        assert calls
 
     @given(gen_strategy, st.integers(min_value=1, max_value=50000))
     def test_valuation_postconditions(self, gen, n):
