@@ -382,7 +382,8 @@ def membership_test(f: Callable[[int], int], max_k: int, max_n: int) -> Membersh
     return MembershipReport(max_k, max_n)
 
 
-def _probe_block(ks: range, modulus: int, residues: list[int], width: int) -> MembershipWitness | None:
+def _probe_block(ks: range, modulus: int, residues: list[int],
+                 width: int) -> MembershipWitness | None:
     """The first failing probe among the orbit lengths ks, or None.
 
     The Moebius transform is linear, and the probe of k is k times the

@@ -305,8 +305,9 @@ def _map_values(f: Callable[[int], int], max_n: int,
     A map with a range path (word, spec and generator maps, and the CLI's
     power maps) gives them in one pass. A plain callable is called per n,
     and unless `invalid` is None each value must be an int >= 1, else
-    ValueError(invalid.format(n=n, m=m)) at the first bad n. Either way nothing after the first failing n is
-    produced, so a consumer sees values and errors in the order of n.
+    ValueError(invalid.format(n=n, m=m)) at the first bad n. Either way
+    nothing after the first failing n is produced, so a consumer sees
+    values and errors in the order of n.
     """
     if isinstance(f, _RangeMap):
         yield from f.values(max_n)

@@ -453,8 +453,10 @@ class TestPackedProbes:
         # members pass every block; the tower map fails in the first one
         for text in ("identity", "pow:2", "gen:g:3:1"):
             report = membership_test(parse_map(text), max_k, 400)
-            assert report == reference_report(parse_map(text), max_k, 400) == MembershipReport(max_k, 400)
-        assert membership_test(parse_map("nn"), max_k, 60) == reference_report(parse_map("nn"), max_k, 60)
+            assert report == reference_report(parse_map(text), max_k, 400)
+            assert report == MembershipReport(max_k, 400)
+        nn = parse_map("nn")
+        assert membership_test(nn, max_k, 60) == reference_report(nn, max_k, 60)
 
     @pytest.mark.parametrize(
         "f, max_k, k",
@@ -537,7 +539,8 @@ class TestResiduePaths:
         for max_k in (24, 2 * _LANES + 3):
             assert membership_test(f, max_k, 500) == reference_report(intact, max_k, 500)
         for k in (1, 4, 6, 12):
-            assert preimage_tuple(preimage_structure(f, k, 500)) == pointwise_preimage(intact, k, 500)
+            got = preimage_tuple(preimage_structure(f, k, 500))
+            assert got == pointwise_preimage(intact, k, 500)
 
 
 class TestMembershipCLI:
@@ -555,7 +558,8 @@ class TestMembershipCLI:
         return (0 if witness is None else 1), json.dumps(payload, indent=2) + "\n", ""
 
     def run(self, capsys, text, max_k, max_n):
-        code = main(["membership-test", "--map", text, "--max-k", str(max_k), "--max-n", str(max_n)])
+        argv = ["membership-test", "--map", text, "--max-k", str(max_k), "--max-n", str(max_n)]
+        code = main(argv)
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 

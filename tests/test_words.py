@@ -105,7 +105,9 @@ class TestGenerator:
         monkeypatch.setattr(words, "is_prime", lambda p: calls.append(p) or real(p))
         word = random_word(7, 40, 13, 4)
         nf = normal_form(word)
-        spec = ExponentSpec({2: ExponentFunction.bounded([1, 3, 3]), 5: ExponentFunction.unbounded([2, 2, 4])})
+        spec = ExponentSpec(
+            {2: ExponentFunction.bounded([1, 3, 3]), 5: ExponentFunction.unbounded([2, 2, 4])}
+        )
         compiled = compile_spec(spec).word
         assert calls == []
         for w in (word, nf, compiled):
