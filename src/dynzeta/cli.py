@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import cache
+from functools import cache, partial
 from typing import Callable
 
 from . import jsonio
@@ -34,8 +34,8 @@ from .series import FixSource, _RangeMap, is_zeta, time_change_fix, zeta_from_fi
 from .words import (
     Generator,
     Word,
-    equal_upto,
-    eval_range,
+    _exponent_tables,
+    _max_exponent,
     eval_word,
     normal_form,
     random_word,
@@ -296,38 +296,69 @@ def cmd_divisibility_check(args) -> tuple[int, dict]:
     return (0 if report.all_hold else 1), out
 
 
+def _prefix_keys(
+    word: Word, top: Callable[[int], int], cut: Callable[[int], int]
+) -> tuple[tuple, tuple]:
+    """(exact key, bucket key) of a word on the prefix 1..max_n.
+
+    The exact key holds the word's exponent tables on the p**v <= max_n
+    (top(p) = the largest such v), sorted by prime, without the tables that
+    are the identity there. Two words agree on 1..max_n exactly when their
+    exact keys are equal: the value at n is read off the entries at v_p(n),
+    and n = p**v reads the entry v of p alone. The bucket key is the exact
+    key cut to the p**v <= min(64, max_n) (cut(p) = the largest such v):
+    equal exactly when the words agree on 1..min(64, max_n).
+    """
+    exact, bucket = [], []
+    for p, table in sorted(_exponent_tables(word, top).items()):
+        if table != list(range(len(table))):
+            exact.append((p, tuple(table)))
+            head = table[: cut(p) + 1]
+            if head != list(range(len(head))):
+                bucket.append((p, tuple(head)))
+    return tuple(exact), tuple(bucket)
+
+
 def cmd_relation_search(args) -> tuple[int, dict]:
     """Look for distinct normal forms that still agree up to --max-n.
 
-    Words are sampled with the given seed, normalized, bucketed by a short
-    evaluation fingerprint, and candidate pairs are then compared on the full
-    range. Any hit is a candidate relation beyond the built-in ones; nothing
-    more is claimed.
+    Words are sampled with the given seed and normalized; repeated normal
+    forms are dropped. Each normal form's per-prime exponent tables are
+    built once and give two keys (see _prefix_keys). Forms are bucketed by
+    the key of the prefix 1..min(64, max_n), buckets in first-seen order,
+    and every pair in a bucket with equal exact keys, i.e. agreeing on all of
+    1..max_n, is reported. Any hit is a candidate relation beyond the
+    built-in ones; nothing more is claimed.
     """
-    fingerprint_n = min(64, args.max_n)
-    buckets: dict[tuple, list[Word]] = {}
-    for i in range(args.count):
-        word = random_word(args.seed + i, args.length, args.max_prime, args.max_level)
-        nf = normal_form(word)
-        key = tuple(eval_range(nf, fingerprint_n))
-        bucket = buckets.setdefault(key, [])
-        if all(nf.gens != other.gens for other in bucket):
-            bucket.append(nf)
+    count = _non_negative_int(args.count, "--count")
+    top = cache(partial(_max_exponent, max_n=args.max_n))
+    cut = cache(partial(_max_exponent, max_n=min(64, args.max_n)))
+    # bucket key -> {normal form gens -> (normal form, exact key)}, both in
+    # first-seen order; equal gens give equal keys, so a repeat meets its
+    # first sighting in the same bucket
+    buckets: dict[tuple, dict[tuple, tuple[Word, tuple]]] = {}
+    for i in range(count):
+        nf = normal_form(random_word(args.seed + i, args.length, args.max_prime, args.max_level))
+        if args.max_n < 1:  # checked after the draw, whose argument errors come first
+            raise UsageError("max_n must be >= 1")
+        exact, bucket = _prefix_keys(nf, top, cut)
+        buckets.setdefault(bucket, {}).setdefault(nf.gens, (nf, exact))
     coincidences = []
     for bucket in buckets.values():
-        for i in range(len(bucket)):
-            for j in range(i + 1, len(bucket)):
-                if equal_upto(bucket[i], bucket[j], args.max_n) is None:
+        forms = list(bucket.values())
+        for i, (left, key) in enumerate(forms):
+            for right, other in forms[i + 1 :]:
+                if key == other:
                     coincidences.append(
                         {
-                            "left": jsonio.word_to_json(bucket[i]),
-                            "right": jsonio.word_to_json(bucket[j]),
+                            "left": jsonio.word_to_json(left),
+                            "right": jsonio.word_to_json(right),
                             "agree_up_to": args.max_n,
                         }
                     )
     return 0, {
         "seed": args.seed,
-        "count": args.count,
+        "count": count,
         "max_n": args.max_n,
         "coincidences": coincidences,
     }
@@ -395,7 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("relation-search", cmd_relation_search, "search for coinciding normal forms")
     p.add_argument("--seed", required=True, type=int)
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", default="100")
     p.add_argument("--length", type=int, default=8)
     p.add_argument("--max-prime", type=int, default=7)
     p.add_argument("--max-level", type=int, default=4)

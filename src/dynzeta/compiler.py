@@ -39,7 +39,7 @@ from .words import (
     CAP,
     Generator,
     Word,
-    _exponent_table,
+    _exponent_tables,
     _first_difference,
     _generator,
     _max_exponent,
@@ -145,15 +145,19 @@ def verify_compile(result: CompileResult, spec: ExponentSpec, max_n: int) -> Mis
             raise ValueError(f"{p} is not prime")
     if any(bound < 0 for bound in result.agreement.values()):
         return None  # no n is admitted
-    candidates = []
+    tops, candidates = {}, []
     for p in result.word.primes() | set(spec.functions):
         top = min(_max_exponent(p, max_n), result.agreement.get(p, max_n))
         fn = spec.functions.get(p)
         if fn is not None and fn.shape == UNBOUNDED and fn.table_bound < top:
             top = fn.table_bound
             candidates.append(p ** (top + 1))
+        tops[p] = top
+    tables = _exponent_tables(result.word, tops.__getitem__)
+    for p, top in tops.items():
+        fn = spec.functions.get(p)
         target = [v if fn is None else fn.value(v) for v in range(top + 1)]
-        n = _first_difference(p, _exponent_table(result.word, p, top), target)
+        n = _first_difference(p, tables.get(p, range(top + 1)), target)
         if n is not None:
             candidates.append(n)
     if not candidates:

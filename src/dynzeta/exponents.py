@@ -44,7 +44,7 @@ from typing import Callable, Iterator, Mapping
 from .arith import factorize, is_prime, primes_up_to
 from .sequences import DOLD, SIGN, RealizabilityVerdict, mobius_transform
 from .series import _map_residues, _map_values, _RangeMap
-from .words import Word, _apply_tables, _exponent_table, _max_exponent
+from .words import Word, _apply_tables, _exponent_tables, _max_exponent
 
 __all__ = [
     "BOUNDED",
@@ -250,8 +250,9 @@ def spec_from_word(word: Word, max_prime: int, max_level: int) -> ExponentSpec:
     stray = [p for p in word.primes() if p > max_prime]
     if stray:
         raise ValueError(f"word touches primes {sorted(stray)} above {max_prime}")
+    tables = _exponent_tables(word, lambda p: max_level)
     funcs = {
-        p: ExponentFunction.unbounded(_exponent_table(word, p, max_level))
+        p: ExponentFunction.unbounded(tables.get(p, range(max_level + 1)))
         for p in primes_up_to(max_prime)
     }
     return ExponentSpec(funcs)

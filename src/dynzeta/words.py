@@ -11,9 +11,10 @@ rendering in the usual right-to-left composition notation must reverse the
 list.
 
 A word therefore acts prime by prime: the generators of prime p send v_p(n)
-through a map on exponents that ignores every other prime. Range evaluation
-and prefix equality are computed from these per-prime exponent tables, one
-table per prime the word touches, instead of generator by generator. The
+through a map on exponents that ignores every other prime. One pass over a
+word builds these per-prime exponent tables, one table per prime the word
+touches; range evaluation, prefix equality, the compile check and the CLI's
+relation search all read them instead of going generator by generator. The
 range kernel takes any {prime: exponent table}, so exponent specs evaluate
 ranges through it as well.
 Equality is still only tested on a prefix 1..N, and a disagreement is
@@ -23,6 +24,7 @@ returned as the smallest witness.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -82,9 +84,8 @@ def _generator(kind: str, prime: int, level: int) -> Generator:
     caps of normal_form, the bumps and caps of compile_spec and the draws of
     random_word. Their kinds and levels are valid by construction."""
     gen = object.__new__(Generator)
-    object.__setattr__(gen, "kind", kind)
-    object.__setattr__(gen, "prime", prime)
-    object.__setattr__(gen, "level", level)
+    fields = gen.__dict__  # frozen refuses setattr, not the instance dict
+    fields["kind"], fields["prime"], fields["level"] = kind, prime, level
     return gen
 
 
@@ -146,25 +147,35 @@ def _max_exponent(p: int, max_n: int) -> int:
     return v
 
 
-def _exponent_table(word: Word, p: int, top: int) -> list[int]:
-    """The word's map on the exponent of p, on the exponents 0..top.
+def _exponent_tables(word: Word, top: Callable[[int], int]) -> dict[int, list[int]]:
+    """The word's maps on exponents, one table per prime it touches (in the
+    order the word first touches them), the table of p on exponents
+    0..top(p). Built in one pass over the word.
 
-    Entry v is v_p of the image of every n with v_p(n) == v: only the
-    generators of prime p read or write that exponent.
+    Entry v of the table of p is v_p of the image of every n with
+    v_p(n) == v: only the generators of prime p read or write that exponent.
+    A prime the word does not touch keeps its exponents, so its table would
+    be the identity.
     """
-    table = list(range(top + 1))
+    tables: dict[int, list[int]] = {}
     for gen in word.gens:
-        if gen.prime != p:
-            continue
-        t = gen.level
+        p, t = gen.prime, gen.level
+        table = tables.get(p)
+        if table is None:
+            table = tables[p] = list(range(top(p) + 1))
+        # a bump raises the entries equal to t, a cap lowers those above t
+        # to t: both keep a table non-decreasing, so each rewrites one run
         if gen.kind == BUMP:
-            table = [v + 1 if v == t else v for v in table]
+            lo = bisect_left(table, t)
+            hi = bisect_right(table, t, lo)
+            table[lo:hi] = [t + 1] * (hi - lo)
         else:
-            table = [t if v > t else v for v in table]
-    return table
+            lo = bisect_right(table, t)
+            table[lo:] = [t] * (len(table) - lo)
+    return tables
 
 
-def _first_difference(p: int, left: list[int], right: list[int]) -> int | None:
+def _first_difference(p: int, left: Sequence[int], right: Sequence[int]) -> int | None:
     """p**v for the smallest v where two exponent tables of p differ."""
     for v, (a, b) in enumerate(zip(left, right)):
         if a != b:
@@ -210,8 +221,7 @@ def eval_range(word: Word, max_n: int) -> list[int]:
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    tables = {p: _exponent_table(word, p, _max_exponent(p, max_n)) for p in word.primes()}
-    return _apply_tables(tables, max_n)
+    return _apply_tables(_exponent_tables(word, lambda p: _max_exponent(p, max_n)), max_n)
 
 
 @dataclass(frozen=True)
@@ -234,10 +244,15 @@ def equal_upto(w1: Word, w2: Word, max_n: int) -> Witness | None:
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
+
+    def top(p):
+        return _max_exponent(p, max_n)
+
+    left, right = _exponent_tables(w1, top), _exponent_tables(w2, top)
     witnesses = []
-    for p in w1.primes() | w2.primes():
-        top = _max_exponent(p, max_n)
-        n = _first_difference(p, _exponent_table(w1, p, top), _exponent_table(w2, p, top))
+    for p in left.keys() | right.keys():
+        identity = range(top(p) + 1)
+        n = _first_difference(p, left.get(p, identity), right.get(p, identity))
         if n is not None:
             witnesses.append(n)
     if not witnesses:
@@ -297,19 +312,37 @@ def is_normal_shape(word: Word) -> bool:
 
 
 def random_word(seed: int, length: int, max_prime: int, max_level: int) -> Word:
-    """Deterministic pseudo-random word for property sweeps."""
+    """Deterministic pseudo-random word for property sweeps.
+
+    The word of a seed is fixed: per generator, in this order, a kind from
+    (BUMP, CAP), a prime from the primes <= max_prime and a level from
+    0..max_level, the same three draws as random.Random(seed).choice((BUMP,
+    CAP)), .choice(primes) and .randint(0, max_level). Each draw of an index
+    below n takes r = getrandbits(k), k = n.bit_length(), and draws again
+    while r >= n: the rejection rule that CPython's choice and randint use,
+    taken here in one loop without their wrapper calls.
+    """
     if length < 0:
         raise ValueError("length must be >= 0")
     primes = primes_up_to(max_prime)
     if length > 0 and not primes:
         raise ValueError(f"no primes <= {max_prime}")
-    rng = random.Random(seed)
-    gens = tuple(
-        _generator(
-            rng.choice((BUMP, CAP)),
-            rng.choice(primes),
-            rng.randint(0, max_level),
-        )
-        for _ in range(length)
-    )
-    return Word(gens)
+    if length > 0 and max_level < 0:
+        raise ValueError("max_level must be >= 0")
+    bits = random.Random(seed).getrandbits
+    kinds = (BUMP, CAP)
+    n_kinds, n_primes, n_levels = len(kinds), len(primes), max_level + 1
+    k_kinds, k_primes, k_levels = (n.bit_length() for n in (n_kinds, n_primes, n_levels))
+    gens = []
+    for _ in range(length):
+        kind = bits(k_kinds)
+        while kind >= n_kinds:
+            kind = bits(k_kinds)
+        i = bits(k_primes)
+        while i >= n_primes:
+            i = bits(k_primes)
+        level = bits(k_levels)
+        while level >= n_levels:
+            level = bits(k_levels)
+        gens.append(_generator(kinds[kind], primes[i], level))
+    return Word(tuple(gens))

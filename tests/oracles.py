@@ -13,11 +13,16 @@ probes, preimage structure, time-changed counts), with the factorizing
 prime-support scan of divisibility_counterexamples, are the reference
 versions of the consumers that take a map's values once, and the per-probe
 membership loop, one sieve per orbit length, is the reference version of
-the probes that share one packed transform.
+the probes that share one packed transform. The public Random.choice and
+randint draws are the reference version of random_word's one-loop sampler,
+and the fingerprint search (64-point range passes, then a scan of the full
+prefix for every pair in a bucket) is the reference version of the
+relation search on exact per-prime keys.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+import json
 from math import gcd
 import random
 
@@ -406,3 +411,60 @@ def per_probe_membership(values, max_k):
             if b % n != 0:
                 return k, "dold", n, b
     return None
+
+
+def trial_division_primes(bound):
+    return [p for p in range(2, bound + 1) if all(p % q for q in range(2, int(p**0.5) + 1))]
+
+
+def public_random_word(seed, length, max_prime, max_level):
+    """The (kind, prime, level) triples random_word documents for a seed,
+    through the public draws: per generator Random(seed).choice(("g", "h")),
+    .choice(primes) and .randint(0, max_level), in that order."""
+    primes = trial_division_primes(max_prime)
+    rng = random.Random(seed)
+    return [
+        (rng.choice(("g", "h")), rng.choice(primes), rng.randint(0, max_level))
+        for _ in range(length)
+    ]
+
+
+def fingerprint_relation_search(seed, count, length, max_prime, max_level, max_n):
+    """(exit code, stdout, stderr) of `dynzeta relation-search` by the
+    fingerprint algorithm: normal forms of the public draws are bucketed by
+    their values on 1..min(64, max_n), kept once per bucket by a linear
+    scan, and every pair in a bucket is compared on all of 1..max_n. The
+    usage errors are the CLI's: --count below 0 first, then per draw the
+    ones of random_word, then max_n below 1 once a word was drawn."""
+
+    def usage(message):
+        return 2, "", f"error: {message}\n"
+
+    def as_json(gens):
+        return {"gens": [{"kind": kind, "p": p, "t": t} for kind, p, t in gens]}
+
+    if count < 0:
+        return usage(f"--count must be >= 0, got {count}")
+    buckets = {}
+    for i in range(count):
+        if length < 0:
+            return usage("length must be >= 0")
+        if length > 0 and max_prime < 2:
+            return usage(f"no primes <= {max_prime}")
+        if length > 0 and max_level < 0:
+            return usage("max_level must be >= 0")
+        nf = naive_normal_form(public_random_word(seed + i, length, max_prime, max_level))
+        if max_n < 1:
+            return usage("max_n must be >= 1")
+        bucket = buckets.setdefault(tuple(generator_pass_eval_range(nf, min(64, max_n))), [])
+        if all(nf != other for other in bucket):
+            bucket.append(nf)
+    coincidences = [
+        {"left": as_json(bucket[i]), "right": as_json(bucket[j]), "agree_up_to": max_n}
+        for bucket in buckets.values()
+        for i in range(len(bucket))
+        for j in range(i + 1, len(bucket))
+        if scan_equal_upto(bucket[i], bucket[j], max_n) is None
+    ]
+    payload = {"seed": seed, "count": count, "max_n": max_n, "coincidences": coincidences}
+    return 0, json.dumps(payload, indent=2) + "\n", ""

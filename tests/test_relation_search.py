@@ -1,0 +1,125 @@
+"""relation-search against the fingerprint search it replaced.
+
+The CLI keys each normal form by its exact per-prime exponent tables; the
+reference (tests/oracles.py) draws through the public Random API, rewrites
+by single swaps, buckets by 64 range values and scans every pair in a bucket
+on the whole prefix. Exit code, stdout and stderr must agree byte for byte.
+Small max_n, few primes and low levels make coincidences common.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dynzeta.cli import main
+from dynzeta.words import random_word
+
+from oracles import fingerprint_relation_search
+
+# 1, 2, both sides of the 64-point fingerprint, and p**k - 1, p**k, p**k + 1
+PRIME_POWERS = {p**k for p in (2, 3, 5, 7) for k in range(1, 12) if p**k <= 2200}
+EDGE_MAX_N = sorted({1, 2, 63, 64, 65} | {q + d for q in PRIME_POWERS for d in (-1, 0, 1)})
+
+
+def cli(seed, count, length, max_prime, max_level, max_n):
+    argv = ["relation-search", "--seed", str(seed), "--count", str(count),
+            "--length", str(length), "--max-prime", str(max_prime),
+            "--max-level", str(max_level), "--max-n", str(max_n)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def check(*args):
+    got = cli(*args)
+    assert got == fingerprint_relation_search(*args), args
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(min_value=-(2**70), max_value=2**70),
+    count=st.integers(min_value=0, max_value=40),
+    length=st.integers(min_value=0, max_value=9),
+    max_prime=st.sampled_from([2, 3, 5, 7, 13]),
+    max_level=st.integers(min_value=0, max_value=5),
+    max_n=st.sampled_from(EDGE_MAX_N),
+)
+def test_matches_the_fingerprint_search(seed, count, length, max_prime, max_level, max_n):
+    check(seed, count, length, max_prime, max_level, max_n)
+
+
+@pytest.mark.parametrize(
+    "max_n", [1, 2, 3, 4, 7, 8, 9, 26, 27, 28, 63, 64, 65, 127, 128, 129, 10000]
+)
+def test_coincidences_match_at_the_edges(max_n):
+    found = 0
+    for seed in (0, 1000, -5):
+        code, out, _ = check(seed, 60, 5, 3, 3, max_n)
+        assert code == 0
+        found += len(json.loads(out)["coincidences"])
+    assert found > 0  # the comparison is not vacuous at any edge
+
+
+@pytest.mark.parametrize("max_level, max_n", [(6, 64), (6, 100), (7, 128), (7, 200)])
+def test_bucket_order_around_the_cut(max_level, max_n):
+    # one prime and levels up to 6 or 7: normal forms that agree on 1..63
+    # but not at 64, or on 1..64 but not at 128, share a bucket or not, and
+    # the coincidences must come out in the fingerprint's bucket order
+    for seed in range(30):
+        check(seed, 80, 2, 2, max_level, max_n)
+
+
+def test_default_arguments_match():
+    check(1, 100, 8, 7, 4, 10000)
+
+
+def test_identity_acting_generators_coincide():
+    # caps and bumps at levels 11..20 act as the identity on 1..2000, so
+    # normal forms that differ only in them coincide there
+    code, out, _ = check(7, 40, 3, 2, 20, 2000)
+    assert code == 0 and json.loads(out)["coincidences"]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1, 5, 3, 7, 4, 0), "max_n must be >= 1"),
+        ((1, 5, 0, 7, 4, 0), "max_n must be >= 1"),
+        ((1, 5, 3, 7, 4, -9), "max_n must be >= 1"),
+        ((1, 5, 3, 1, 4, 100), "no primes <= 1"),
+        ((1, 5, 3, 1, 4, 0), "no primes <= 1"),
+        ((1, 5, -1, 7, 4, 100), "length must be >= 0"),
+        ((1, 5, -1, 1, 4, 0), "length must be >= 0"),
+        ((1, 5, 3, 7, -1, 100), "max_level must be >= 0"),
+        ((1, 5, 3, 1, -1, 100), "no primes <= 1"),
+        ((1, -3, 3, 7, 4, 100), "--count must be >= 0, got -3"),
+        ((1, -1, -1, 1, -1, 0), "--count must be >= 0, got -1"),
+    ],
+)
+def test_usage_errors(args, message):
+    assert check(*args) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(1, 0, 3, 7, 4, 0), (1, 0, -1, 1, -1, -5), (1, 3, 0, 1, -1, 10), (4, 3, 0, 7, -2, 1)],
+)
+def test_accepted_edge_arguments(args):
+    code, _, err = check(*args)
+    assert code == 0 and err == ""
+
+
+def test_count_must_be_an_integer():
+    code, out, err = cli(1, "x", 3, 7, 4, 100)
+    assert (code, out, err) == (2, "", "error: --count must be an integer, got 'x'\n")
+
+
+def test_random_word_rejects_a_negative_max_level():
+    with pytest.raises(ValueError, match=r"^max_level must be >= 0$"):
+        random_word(1, 3, 7, -1)
+    assert random_word(1, 0, 7, -1).gens == ()
