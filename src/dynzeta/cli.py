@@ -7,6 +7,9 @@ one JSON document to stdout (or --out), and exits with
     1   a check that failed (the output explains why)
     2   malformed input or usage error (message on stderr)
 
+Any ValueError raised while handling a request is exit 2 with its message on
+stderr.
+
 Maps are named, not executed: `identity`, `mul:C`, `pow:B`, `nn`, `succ`,
 `gen:KIND:P:T`, `word:FILE`, `spec:FILE`. Count sources are `constant:C`,
 `reg:K`, `geometric:B`, `table:FILE`.
@@ -36,9 +39,9 @@ from .words import (
     Word,
     _exponent_tables,
     _max_exponent,
+    _random_words,
     eval_word,
     normal_form,
-    random_word,
 )
 
 __all__ = ["main"]
@@ -92,11 +95,7 @@ def parse_map(text: str) -> Callable[[int], int]:
         if len(parts) != 3:
             raise UsageError(f"expected {name}:KIND:P:T, got {text!r}")
         kind, p, t = parts[0], _positive_int(parts[1], "prime"), _non_negative_int(parts[2], "level")
-        try:
-            gen = Generator(kind, p, t)
-        except ValueError as err:
-            raise UsageError(str(err)) from None
-        return Word((gen,)).as_map()
+        return Word((Generator(kind, p, t),)).as_map()
     if name == "word":
         return _load_word(rest).as_map()
     if name == "spec":
@@ -106,17 +105,14 @@ def parse_map(text: str) -> Callable[[int], int]:
 
 def parse_source(text: str) -> FixSource:
     name, _, rest = text.partition(":")
-    try:
-        if name == "constant":
-            return FixSource.constant(_non_negative_int(rest, "constant value"))
-        if name == "reg":
-            return FixSource.single_orbit(_positive_int(rest, "orbit length"))
-        if name == "geometric":
-            return FixSource.geometric(_non_negative_int(rest, "base"))
-        if name == "table":
-            return FixSource.table(jsonio.sequence_from_json(_load_json(rest)))
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    if name == "constant":
+        return FixSource.constant(_non_negative_int(rest, "constant value"))
+    if name == "reg":
+        return FixSource.single_orbit(_positive_int(rest, "orbit length"))
+    if name == "geometric":
+        return FixSource.geometric(_non_negative_int(rest, "base"))
+    if name == "table":
+        return FixSource.table(jsonio.sequence_from_json(_load_json(rest)))
     raise UsageError(f"unknown source {text!r}")
 
 
@@ -150,19 +146,13 @@ def _verdict_json(verdict) -> dict:
 
 def cmd_realizable_check(args) -> tuple[int, dict]:
     entries = jsonio.sequence_from_json(_load_json(args.sequence))
-    try:
-        verdict = check_realizable(entries)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    verdict = check_realizable(entries)
     return (0 if verdict.passed else 1), _verdict_json(verdict)
 
 
 def cmd_zeta_from_fix(args) -> tuple[int, dict]:
     source = parse_source(args.source)
-    try:
-        series = zeta_from_fix(source, args.order)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    series = zeta_from_fix(source, args.order)
     return 0, jsonio.series_to_json(series)
 
 
@@ -177,10 +167,7 @@ def cmd_zeta_check(args) -> tuple[int, dict]:
 def cmd_apply(args) -> tuple[int, dict]:
     h = parse_map(args.map)
     source = parse_source(args.source)
-    try:
-        entries = time_change_fix(h, source, args.max_n)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    entries = time_change_fix(h, source, args.max_n)
     return 0, jsonio.sequence_to_json(entries)
 
 
@@ -236,19 +223,13 @@ def cmd_spec_validate(args) -> tuple[int, dict]:
 
 def cmd_spec_compile(args) -> tuple[int, dict]:
     spec = jsonio.spec_from_json(_load_json(args.spec))
-    try:
-        result = compile_spec(spec)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    result = compile_spec(spec)
     return 0, jsonio.compile_result_to_json(result)
 
 
 def cmd_membership_test(args) -> tuple[int, dict]:
     f = parse_map(args.map)
-    try:
-        report = membership_test(f, args.max_k, args.max_n)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    report = membership_test(f, args.max_k, args.max_n)
     if report.witness is None:
         return 0, {"result": "no-violation", "max_k": args.max_k, "max_n": args.max_n}
     w = report.witness
@@ -263,10 +244,7 @@ def cmd_membership_test(args) -> tuple[int, dict]:
 
 def cmd_preimage(args) -> tuple[int, dict]:
     f = parse_map(args.map)
-    try:
-        structure = preimage_structure(f, args.k, args.max_n)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    structure = preimage_structure(f, args.k, args.max_n)
     out = {"outcome": structure.outcome, "k": structure.k, "max_n": structure.max_n}
     if structure.step is not None:
         out["step"] = structure.step
@@ -277,10 +255,7 @@ def cmd_preimage(args) -> tuple[int, dict]:
 
 def cmd_divisibility_check(args) -> tuple[int, dict]:
     f = parse_map(args.map)
-    try:
-        report = check_divisibility_properties(f, args.max_n)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    report = check_divisibility_properties(f, args.max_n)
 
     def claim(result):
         if result.holds:
@@ -337,8 +312,9 @@ def cmd_relation_search(args) -> tuple[int, dict]:
     # first-seen order; equal gens give equal keys, so a repeat meets its
     # first sighting in the same bucket
     buckets: dict[tuple, dict[tuple, tuple[Word, tuple]]] = {}
-    for i in range(count):
-        nf = normal_form(random_word(args.seed + i, args.length, args.max_prime, args.max_level))
+    words = _random_words(args.seed, args.length, args.max_prime, args.max_level)
+    for _ in range(count):
+        nf = normal_form(next(words))
         if args.max_n < 1:  # checked after the draw, whose argument errors come first
             raise UsageError("max_n must be >= 1")
         exact, bucket = _prefix_keys(nf, top, cut)
@@ -444,9 +420,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         code, payload = args.handler(args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

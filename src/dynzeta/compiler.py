@@ -31,6 +31,7 @@ from .exponents import (
     UNBOUNDED,
     ExponentSpec,
     SpecViolation,
+    _spec_tables,
     apply_spec,
     validate_spec,
 )
@@ -153,15 +154,11 @@ def verify_compile(result: CompileResult, spec: ExponentSpec, max_n: int) -> Mis
             top = fn.table_bound
             candidates.append(p ** (top + 1))
         tops[p] = top
-    tables = _exponent_tables(result.word, tops.__getitem__)
-    for p, top in tops.items():
-        fn = spec.functions.get(p)
-        target = [v if fn is None else fn.value(v) for v in range(top + 1)]
-        n = _first_difference(p, tables.get(p, range(top + 1)), target)
-        if n is not None:
-            candidates.append(n)
+    top = tops.__getitem__
+    n = _first_difference(_exponent_tables(result.word, top), _spec_tables(spec, top), top)
+    if n is not None:
+        candidates.append(n)
     if not candidates:
         return None
     n = min(candidates)
-    expected = apply_spec(spec, n)
-    return Mismatch(n, eval_word(result.word, n), expected)
+    return Mismatch(n, eval_word(result.word, n), apply_spec(spec, n))

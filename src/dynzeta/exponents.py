@@ -222,13 +222,14 @@ def _spec_values(spec: ExponentSpec, max_n: int) -> Iterator[int]:
         if fn.shape == UNBOUNDED and fn.table_bound < _max_exponent(p, stop):
             stop = p ** (fn.table_bound + 1) - 1
             error = TableRangeError(p, fn.table_bound + 1, fn.table_bound)
-    tables = {
-        p: [fn.value(v, p) for v in range(_max_exponent(p, stop) + 1)]
-        for p, fn in spec.functions.items()
-    }
-    yield from _apply_tables(tables, stop)
+    yield from _apply_tables(_spec_tables(spec, lambda p: _max_exponent(p, stop)), stop)
     if error is not None:
         raise error
+
+
+def _spec_tables(spec: ExponentSpec, top: Callable[[int], int]) -> dict[int, list[int]]:
+    """The spec's exponent table of each prime it maps, on exponents 0..top(p)."""
+    return {p: [fn.value(v, p) for v in range(top(p) + 1)] for p, fn in spec.functions.items()}
 
 
 def _spec_map(spec: ExponentSpec) -> Callable[[int], int]:

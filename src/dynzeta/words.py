@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .arith import is_prime, primes_up_to
 from .series import _RangeMap
@@ -175,12 +175,21 @@ def _exponent_tables(word: Word, top: Callable[[int], int]) -> dict[int, list[in
     return tables
 
 
-def _first_difference(p: int, left: Sequence[int], right: Sequence[int]) -> int | None:
-    """p**v for the smallest v where two exponent tables of p differ."""
-    for v, (a, b) in enumerate(zip(left, right)):
-        if a != b:
-            return p**v
-    return None
+def _first_difference(
+    left: Mapping[int, Sequence[int]],
+    right: Mapping[int, Sequence[int]],
+    top: Callable[[int], int],
+) -> int | None:
+    """The smallest p**v where two {p: exponent table} maps differ, or None.
+    A prime one side lacks has the identity table on 0..top(p) there."""
+    differences = []
+    for p in left.keys() | right.keys():
+        identity = range(top(p) + 1)
+        for v, (a, b) in enumerate(zip(left.get(p, identity), right.get(p, identity))):
+            if a != b:
+                differences.append(p**v)
+                break
+    return min(differences, default=None)
 
 
 def _apply_tables(tables: Mapping[int, Sequence[int]], max_n: int) -> list[int]:
@@ -248,16 +257,9 @@ def equal_upto(w1: Word, w2: Word, max_n: int) -> Witness | None:
     def top(p):
         return _max_exponent(p, max_n)
 
-    left, right = _exponent_tables(w1, top), _exponent_tables(w2, top)
-    witnesses = []
-    for p in left.keys() | right.keys():
-        identity = range(top(p) + 1)
-        n = _first_difference(p, left.get(p, identity), right.get(p, identity))
-        if n is not None:
-            witnesses.append(n)
-    if not witnesses:
+    n = _first_difference(_exponent_tables(w1, top), _exponent_tables(w2, top), top)
+    if n is None:
         return None
-    n = min(witnesses)
     return Witness(n, eval_word(w1, n), eval_word(w2, n))
 
 
@@ -322,6 +324,12 @@ def random_word(seed: int, length: int, max_prime: int, max_level: int) -> Word:
     while r >= n: the rejection rule that CPython's choice and randint use,
     taken here in one loop without their wrapper calls.
     """
+    return next(_random_words(seed, length, max_prime, max_level))
+
+
+def _random_words(seed: int, length: int, max_prime: int, max_level: int) -> Iterator[Word]:
+    """random_word of seed, seed + 1, seed + 2, ... in turn, the primes
+    sieved once; the argument errors come at the first draw."""
     if length < 0:
         raise ValueError("length must be >= 0")
     primes = primes_up_to(max_prime)
@@ -329,20 +337,22 @@ def random_word(seed: int, length: int, max_prime: int, max_level: int) -> Word:
         raise ValueError(f"no primes <= {max_prime}")
     if length > 0 and max_level < 0:
         raise ValueError("max_level must be >= 0")
-    bits = random.Random(seed).getrandbits
     kinds = (BUMP, CAP)
     n_kinds, n_primes, n_levels = len(kinds), len(primes), max_level + 1
     k_kinds, k_primes, k_levels = (n.bit_length() for n in (n_kinds, n_primes, n_levels))
-    gens = []
-    for _ in range(length):
-        kind = bits(k_kinds)
-        while kind >= n_kinds:
+    while True:
+        bits = random.Random(seed).getrandbits
+        gens = []
+        for _ in range(length):
             kind = bits(k_kinds)
-        i = bits(k_primes)
-        while i >= n_primes:
+            while kind >= n_kinds:
+                kind = bits(k_kinds)
             i = bits(k_primes)
-        level = bits(k_levels)
-        while level >= n_levels:
+            while i >= n_primes:
+                i = bits(k_primes)
             level = bits(k_levels)
-        gens.append(_generator(kinds[kind], primes[i], level))
-    return Word(tuple(gens))
+            while level >= n_levels:
+                level = bits(k_levels)
+            gens.append(_generator(kinds[kind], primes[i], level))
+        yield Word(tuple(gens))
+        seed += 1

@@ -256,3 +256,70 @@ class TestParserBuiltOnce:
             else:
                 assert written is None and (out == "") == (code == 2)
         assert "required" in reused[2][2]
+
+
+ERROR_FILES = {
+    "bad_spec": {"primes": {"2": {"shape": "unbounded", "values": [2, 1]}}},
+    "short_spec": {"primes": {"2": {"shape": "unbounded", "values": [1, 2]}}},
+    "table3": {"entries": ["1", "3", "4"]},
+    "negative": {"entries": ["1", "-3", "4"]},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["spec-compile", "{bad_spec}"],
+            "spec is not valid: prime 2: value 1 at index 1 drops below 2 at index 0",
+        ),
+        (
+            ["apply", "--map", "spec:{short_spec}", "--source", "reg:1", "--max-n", "8"],
+            "table for prime 2 covers exponents 0..1, asked for 2",
+        ),
+        (
+            ["apply", "--map", "identity", "--source", "table:{table3}", "--max-n", "5"],
+            "table source covers n = 1..3, asked for n = 4",
+        ),
+        (
+            ["zeta-from-fix", "--source", "table:{table3}", "--order", "5"],
+            "table source covers n = 1..3, asked for n = 4",
+        ),
+        (
+            ["apply", "--map", "identity", "--source", "reg:0", "--max-n", "5"],
+            "orbit length must be >= 1, got 0",
+        ),
+        (
+            ["apply", "--map", "identity", "--source", "reg:2", "--max-n", "0"],
+            "length must be >= 1",
+        ),
+        (["zeta-from-fix", "--source", "geometric:2", "--order", "-1"], "order must be >= 0"),
+        (
+            ["realizable-check", "{negative}"],
+            "sequence entry 2 is -3; expected a non-negative integer",
+        ),
+        (
+            ["membership-test", "--map", "nn", "--max-k", "0", "--max-n", "5"],
+            "max_k and max_n must be >= 1",
+        ),
+        (
+            ["preimage", "--map", "nn", "--k", "7", "--max-n", "5"],
+            "max_n = 5 must be at least k = 7",
+        ),
+        (["divisibility-check", "--map", "nn", "--max-n", "0"], "max_n must be >= 1"),
+        (
+            ["membership-test", "--map", "gen:g:4:1", "--max-k", "3", "--max-n", "5"],
+            "4 is not prime",
+        ),
+        (
+            ["membership-test", "--map", "gen:x:2:1", "--max-k", "3", "--max-n", "5"],
+            "unknown generator kind 'x'",
+        ),
+    ],
+)
+def test_library_errors_exit_2_with_their_message(capsys, tmp_path, argv, message):
+    # errors raised below the CLI reach stderr through main's one handler,
+    # message unchanged, and nothing reaches stdout
+    paths = {name: write_json(tmp_path / f"{name}.json", obj) for name, obj in ERROR_FILES.items()}
+    argv = [arg.format_map(paths) for arg in argv]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")

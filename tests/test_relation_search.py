@@ -14,6 +14,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dynzeta import words
 from dynzeta.cli import main
 from dynzeta.words import random_word
 
@@ -123,3 +124,16 @@ def test_random_word_rejects_a_negative_max_level():
     with pytest.raises(ValueError, match=r"^max_level must be >= 0$"):
         random_word(1, 3, 7, -1)
     assert random_word(1, 0, 7, -1).gens == ()
+
+
+def test_primes_are_sieved_once_per_search(monkeypatch):
+    calls, primes_up_to = [], words.primes_up_to
+
+    def counting_primes_up_to(bound):
+        calls.append(bound)
+        return primes_up_to(bound)
+
+    monkeypatch.setattr(words, "primes_up_to", counting_primes_up_to)
+    code, out, _ = cli(1, 40, 8, 1000, 4, 10000)
+    assert code == 0 and json.loads(out)["count"] == 40
+    assert calls == [1000]
