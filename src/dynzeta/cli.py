@@ -425,8 +425,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     text = json.dumps(payload, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            print(f"error: cannot write {args.out}: {err}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

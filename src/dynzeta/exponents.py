@@ -44,7 +44,7 @@ from typing import Callable, Iterator, Mapping
 from .arith import factorize, is_prime, primes_up_to
 from .sequences import DOLD, SIGN, RealizabilityVerdict, mobius_transform
 from .series import _map_residues, _map_values, _RangeMap
-from .words import Word, _apply_tables, _exponent_tables, _max_exponent
+from .words import Word, _apply_tables, _check_int, _exponent_tables, _max_exponent
 
 __all__ = [
     "BOUNDED",
@@ -95,7 +95,9 @@ class ExponentFunction:
     def __post_init__(self):
         if self.shape not in (BOUNDED, UNBOUNDED):
             raise ValueError(f"unknown shape {self.shape!r}")
-        values = tuple(int(v) for v in self.values)
+        values = tuple(self.values)
+        for v in values:
+            _check_int(v, "exponent value")
         if not values:
             raise ValueError("an exponent function needs at least the value at 0")
         if any(v < 0 for v in values):
@@ -143,6 +145,7 @@ class ExponentSpec:
     def __post_init__(self):
         funcs = dict(self.functions)
         for p in funcs:
+            _check_int(p, "prime")
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
         object.__setattr__(self, "functions", {p: funcs[p] for p in sorted(funcs)})
@@ -162,7 +165,8 @@ class SpecViolation:
 
 
 def validate_spec(spec: ExponentSpec) -> list[SpecViolation]:
-    """All validity violations, in (prime, index) order; empty means valid.
+    """All validity violations, in (prime, index) order, a drop before a
+    lower-bound violation at the same index; empty means valid.
 
     Finiteness is structural (a spec maps finitely many primes). The checks
     are monotonicity, and the lower bound d(i) >= i on the table for
@@ -171,8 +175,9 @@ def validate_spec(spec: ExponentSpec) -> list[SpecViolation]:
     out: list[SpecViolation] = []
     for p, fn in spec.functions.items():
         vals = fn.values
-        for i in range(1, len(vals)):
-            if vals[i] < vals[i - 1]:
+        limit = len(vals) - 1 if fn.shape == UNBOUNDED else min(len(vals) - 1, vals[-1])
+        for i in range(len(vals)):
+            if i and vals[i] < vals[i - 1]:
                 out.append(
                     SpecViolation(
                         p, NON_DECREASING, i,
@@ -180,9 +185,7 @@ def validate_spec(spec: ExponentSpec) -> list[SpecViolation]:
                         f"{vals[i - 1]} at index {i - 1}",
                     )
                 )
-        limit = len(vals) - 1 if fn.shape == UNBOUNDED else min(len(vals) - 1, vals[-1])
-        for i in range(limit + 1):
-            if vals[i] < i:
+            if i <= limit and vals[i] < i:
                 out.append(
                     SpecViolation(
                         p, LOWER_BOUND, i,

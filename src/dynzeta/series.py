@@ -2,28 +2,22 @@
 fixed-point counting.
 
 The zeta series of a count sequence (a_n) is F = exp(sum a_n z^n / n). Since
-z F' = F * sum a_n z^n, its coefficients obey Newton's identity
+z F' = F * sum a_n z^n, its coefficients obey Newton's identity, which one
+private kernel runs in each direction:
 
-    n * F_n = sum_{k=1..n} a_k * F_{n-k}        (F_0 = 1)
+    exp: n * F_n = sum_{k=1..n} a_k * F_{n-k}        (F_0 = 1)
+    log: a_n = n * F_n - sum_{k<n} a_k * F_{n-k}
 
-and both directions run on it directly:
+zeta_from_fix is the exp kernel of the counts, and fix_from_zeta checks the
+a_n of the log kernel. exp G is the zeta series of the counts k * G_k, and
+log F has the coefficients a_n / n, so exp_series and log_series (and
+series_pow = exp(r * log f)) run on the same kernels.
 
-    zeta_from_fix: F_n = (sum_{k=1..n} a_k * F_{n-k}) / n
-    fix_from_zeta: a_n = n * F_n - sum_{k<n} a_k * F_{n-k}
-
-Integers first: the counts a_n are integers, so each sum is an integer as
-long as the coefficients it reads are. zeta_from_fix divides with divmod and
-keeps F_n an int when n divides the sum, falling back to fractions.Fraction
-only when a remainder appears. fix_from_zeta holds every integral F_n as an
-int and only the others as Fraction, so a_n is computed on ints until a
-non-integral coefficient enters its sum. The general log and exp of a series
-(log_series, exp_series, series_pow) use the derivative recurrences
-
-    exp: n * F_n = sum_{k=1..n} k * G_k * F_{n-k}        (F = exp G, G_0 = 0)
-    log: n * L_n = n * F_n - sum_{k<n} k * L_k * F_{n-k} (L = log F, F_0 = 1)
-
-on Fraction coefficients. Every coefficient a Series holds is a
-fractions.Fraction; nothing ever rounds.
+Integers first: each sum is an integer as long as the values it reads are.
+The exp kernel keeps F_n an int when n divides its sum, and the log kernel
+holds every integral F_n and a_n as an int; only the others become
+fractions.Fraction. Every coefficient a Series holds is a Fraction; nothing
+ever rounds.
 """
 
 from __future__ import annotations
@@ -196,41 +190,50 @@ class NegativeCount(InversionError):
     reason = "negative_count"
 
 
-def zeta_from_fix(source: FixSource, order: int) -> Series:
-    """Zeta series exp(sum a_n z^n / n) truncated at the given order."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    a = [source.value(n) for n in range(1, order + 1)]
+def _int_first(x):
+    """x as an int when it is integral, else unchanged."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _exp_counts(a: Sequence) -> Series:
+    """exp(sum a_k z^k / k) to order len(a), by the exp recurrence."""
     coeffs = [1]
-    for n in range(1, order + 1):
+    for n in range(1, len(a) + 1):
         acc = sum(map(mul, a, reversed(coeffs)))
         q, r = divmod(acc, n)
         coeffs.append(Fraction(acc, n) if r else q)
     return Series(tuple(coeffs))
 
 
+def _log_counts(f: Series) -> Iterator:
+    """a_1, ..., a_order of f = exp(sum a_n z^n / n), lazily, by the log
+    recurrence; needs f_0 = 1."""
+    c = [_int_first(x) for x in f.coeffs]
+    out = []
+    for n in range(1, len(c)):
+        out.append(_int_first(n * c[n] - sum(map(mul, out, reversed(c[1:n])))))
+        yield out[-1]
+
+
+def zeta_from_fix(source: FixSource, order: int) -> Series:
+    """Zeta series exp(sum a_n z^n / n) truncated at the given order."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    return _exp_counts(source.prefix(order))
+
+
 def log_series(f: Series) -> Series:
     """Logarithm of a series with constant term 1, truncated at f.order."""
     if f.coeffs[0] != 1:
         raise ConstantTermNotOne(f"log needs constant term 1, got {f.coeffs[0]}")
-    c = f.coeffs
-    logs = [Fraction(0)]
-    for n in range(1, f.order + 1):
-        acc = n * c[n] - sum(k * logs[k] * c[n - k] for k in range(1, n))
-        logs.append(acc / n)
-    return Series(tuple(logs))
+    return Series((0, *(Fraction(a, n) for n, a in enumerate(_log_counts(f), 1))))
 
 
 def exp_series(g: Series) -> Series:
     """Exponential of a series with constant term 0, truncated at g.order."""
     if g.coeffs[0] != 0:
         raise ValueError(f"exp needs constant term 0, got {g.coeffs[0]}")
-    c = g.coeffs
-    out = [Fraction(1)]
-    for n in range(1, g.order + 1):
-        acc = sum(k * c[k] * out[n - k] for k in range(1, n + 1))
-        out.append(acc / n)
-    return Series(tuple(out))
+    return _exp_counts([_int_first(k * c) for k, c in enumerate(g.coeffs[1:], 1)])
 
 
 def fix_from_zeta(f: Series) -> list[int]:
@@ -244,15 +247,10 @@ def fix_from_zeta(f: Series) -> list[int]:
         raise ConstantTermNotOne(
             f"constant term is {f.coeffs[0]}, a zeta series starts at 1"
         )
-    # integral coefficients as ints; a_n is a Fraction only when some F_k
-    # with k <= n is not an integer
-    c = [x.numerator if x.denominator == 1 else x for x in f.coeffs]
     out = []
-    for n in range(1, f.order + 1):
-        a = n * c[n] - sum(map(mul, out, reversed(c[1:n])))
+    for n, a in enumerate(_log_counts(f), 1):
         if a.denominator != 1:
             raise NonIntegerLogCoefficient(f"a_{n} = {a} is not an integer", n)
-        a = a.numerator
         if a < 0:
             raise NegativeCount(f"a_{n} = {a} is negative", n)
         out.append(a)

@@ -14,9 +14,8 @@ A word therefore acts prime by prime: the generators of prime p send v_p(n)
 through a map on exponents that ignores every other prime. One pass over a
 word builds these per-prime exponent tables, one table per prime the word
 touches; range evaluation, prefix equality, the compile check and the CLI's
-relation search all read them instead of going generator by generator. The
-range kernel takes any {prime: exponent table}, so exponent specs evaluate
-ranges through it as well.
+relation search all read them. The range kernel takes any {prime: exponent
+table}, so exponent specs evaluate ranges through it as well.
 Equality is still only tested on a prefix 1..N, and a disagreement is
 returned as the smallest witness.
 """
@@ -50,6 +49,13 @@ BUMP = "g"
 CAP = "h"
 
 
+def _check_int(value, field: str) -> None:
+    """Reject anything but a plain int: int() would truncate 1.5 to 1 and
+    so silently describe a different map."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Generator:
     """One bump or cap map, identified by (kind, prime, level)."""
@@ -61,6 +67,8 @@ class Generator:
     def __post_init__(self):
         if self.kind not in (BUMP, CAP):
             raise ValueError(f"unknown generator kind {self.kind!r}")
+        _check_int(self.prime, "prime")
+        _check_int(self.level, "level")
         if not is_prime(self.prime):
             raise ValueError(f"{self.prime} is not prime")
         if self.level < 0:
@@ -123,7 +131,7 @@ class Word:
 
     def as_map(self) -> Callable[[int], int]:
         """The word as a map; consumers that need 1..max_n take the values
-        in one eval_range pass instead of calling it per n."""
+        in one eval_range pass."""
         return _RangeMap(lambda n: eval_word(self, n), lambda max_n: eval_range(self, max_n))
 
     def __repr__(self):
@@ -225,8 +233,8 @@ def eval_range(word: Word, max_n: int) -> list[int]:
     """Values of a word on 1..max_n (index 0 holds the image of 1).
 
     The word's exponent table of each prime it touches drives one pass of
-    the per-prime kernel, so the cost no longer grows with the number of
-    generators.
+    the per-prime kernel, one pass per prime however many generators the
+    word has.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")

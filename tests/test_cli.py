@@ -181,6 +181,12 @@ class TestMembershipAndStructure:
         assert code == 1
         assert json.loads(out)["k"] == 2
 
+    def test_preimage_violation_names_its_witness(self, capsys):
+        # n + 1 is even exactly for odd n: the preimage starts at 1 but misses 2
+        code, out, _ = run(capsys, "preimage", "--map", "succ", "--k", "2", "--max-n", "10")
+        assert code == 1
+        assert json.loads(out) == {"outcome": "violation", "k": 2, "max_n": 10, "witness": 2}
+
     def test_preimage_progression(self, capsys):
         code, out, _ = run(
             capsys, "preimage", "--map", "gen:g:2:1", "--k", "4", "--max-n", "200"
@@ -323,3 +329,33 @@ def test_library_errors_exit_2_with_their_message(capsys, tmp_path, argv, messag
     paths = {name: write_json(tmp_path / f"{name}.json", obj) for name, obj in ERROR_FILES.items()}
     argv = [arg.format_map(paths) for arg in argv]
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["realizable-check", "{not_json}"],
+         "{not_json} is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        (["apply", "--map", "gen:g:2", "--source", "reg:1", "--max-n", "3"],
+         "expected gen:KIND:P:T, got 'gen:g:2'"),
+        (["apply", "--map", "identity", "--source", "foo:1", "--max-n", "3"],
+         "unknown source 'foo:1'"),
+        (["word-eval", "{word}", "--range", "3"], "--range wants A:B, got '3'"),
+        (["word-eval", "{word}", "--range", "5:3"], "empty range '5:3'"),
+        (["zeta-from-fix", "--source", "geometric:2", "--order", "3", "--out", "{missing}"],
+         "cannot write {missing}: [Errno 2] No such file or directory: '{missing}'"),
+        (["zeta-from-fix", "--source", "geometric:2", "--order", "3", "--out", "{dir}"],
+         "cannot write {dir}: [Errno 21] Is a directory: '{dir}'"),
+    ],
+)
+def test_usage_errors_exit_2_with_their_message(capsys, tmp_path, argv, message):
+    not_json = tmp_path / "not.json"
+    not_json.write_text("nope")
+    paths = {
+        "not_json": str(not_json),
+        "word": write_json(tmp_path / "word.json", {"gens": []}),
+        "missing": str(tmp_path / "missing" / "out.json"),
+        "dir": str(tmp_path),
+    }
+    argv = [arg.format_map(paths) for arg in argv]
+    assert run(capsys, *argv) == (2, "", f"error: {message.format_map(paths)}\n")

@@ -115,6 +115,10 @@ class TestVerify:
         tampered = CompileResult(Word(result.word.gens[:-1]), {})
         assert verify_compile(tampered, DOUBLING, 10**6) == Mismatch(1, 1, 2)
 
+    def test_rejects_empty_prefix(self):
+        with pytest.raises(ValueError, match=r"^max_n must be >= 1$"):
+            verify_compile(compile_spec(DOUBLING), DOUBLING, 0)
+
     def test_rejects_composite_agreement_key(self):
         result = compile_spec(DOUBLING)
         with pytest.raises(ValueError, match="4 is not prime"):

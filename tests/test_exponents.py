@@ -69,6 +69,49 @@ class TestValidation:
         with pytest.raises(ValueError):
             ExponentFunction.bounded([])
 
+    def test_violations_in_index_order(self):
+        # a drop at index 3 comes after the lower-bound violation at 1, and
+        # at equal index (2) the drop comes first
+        spec = build_spec({2: ("unbounded", [0, 0, 5, 4]), 3: ("unbounded", [0, 2, 1])})
+        got = validate_spec(spec)
+        assert [(v.prime, v.condition, v.index) for v in got] == [
+            (2, "exponent-lower-bound", 1),
+            (2, "non-decreasing", 3),
+            (3, "non-decreasing", 2),
+            (3, "exponent-lower-bound", 2),
+        ]
+
+    @pytest.mark.parametrize(
+        "values, bad", [([1.5, 2.9], "1.5"), ([0, True], "True"), ([0, "1"], "'1'")]
+    )
+    def test_rejects_non_integer_values(self, values, bad):
+        with pytest.raises(ValueError) as err:
+            ExponentFunction.bounded(values)
+        assert str(err.value) == f"exponent value must be an integer, got {bad}"
+
+    def test_rejects_non_integer_prime_keys(self):
+        # 2.0 passed the primality test and compiled to generators of prime 2.0
+        with pytest.raises(ValueError) as err:
+            build_spec({2.0: ("bounded", [1])})
+        assert str(err.value) == "prime must be an integer, got 2.0"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: apply_spec(SQUARING, 0), "the map acts on n >= 1, got 0"),
+        (lambda: ExponentFunction.bounded([1]).value(-1), "exponents are >= 0, got -1"),
+        (lambda: ExponentFunction.unbounded([1]).eventual,
+         "only bounded functions have an eventual value"),
+        (lambda: spec_from_word(Word(()), 5, max_level=-1), "max_level must be >= 0"),
+        (lambda: preimage_structure(lambda n: n, 0, 5), "k must be >= 1"),
+    ],
+)
+def test_argument_errors(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
 
 class TestApply:
     def test_squaring(self):
@@ -192,6 +235,12 @@ class TestMembership:
         report = membership_test(lambda n: n + 1, 3, 2)
         assert report.witness.k == 2
         assert report.witness.verdict == RealizabilityVerdict(SIGN, 2, -2)
+
+    def test_describe_names_the_witness(self):
+        report = membership_test(lambda n: n + 1, 3, 2)
+        assert report.describe() == (
+            f"refuted by orbit length k=2: {report.witness.verdict.describe()}"
+        )
 
     def test_report_never_claims_membership(self):
         report = membership_test(lambda n: n, 5, 50)

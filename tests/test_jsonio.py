@@ -54,6 +54,36 @@ def test_series_round_trip_with_fractions():
     assert series_from_json(obj) == series
 
 
+def test_series_accepts_plain_numbers():
+    assert series_from_json({"coeffs": [1, -3]}) == Series.of([1, -3])
+
+
+@pytest.mark.parametrize(
+    "read, obj, message",
+    [
+        (sequence_from_json, {"entries": [True]}, "entry 1 must be an integer, got True"),
+        (sequence_from_json, {"entries": [[1]]},
+         "entry 1 must be an integer or decimal string, got [1]"),
+        (sequence_from_json, {"n": 1}, "sequence object needs an 'entries' field"),
+        (series_from_json, {"coeffs": [False]}, "coefficient 0 must be a rational, got False"),
+        (series_from_json, {"coeffs": ["1", "1/0"]}, "coefficient 1 is not a rational: '1/0'"),
+        (series_from_json, {"coeffs": [[1]]},
+         "coefficient 0 must be an integer or 'p/q' string, got [1]"),
+        (series_from_json, {"order": 0}, "series object needs a 'coeffs' field"),
+        (series_from_json, {"coeffs": []}, "'coeffs' must be a non-empty list"),
+        (word_from_json, {"gens": "g"}, "word object needs a 'gens' list"),
+        (spec_from_json, {"default": "identity"}, "spec object needs a 'primes' object"),
+        (spec_from_json, {"primes": {"2": {"shape": "bounded", "values": []}}},
+         "prime 2 needs a non-empty 'values' list"),
+        (compile_result_from_json, {"agreement": {}}, "compile result needs a 'word' field"),
+    ],
+)
+def test_malformed_input_is_named(read, obj, message):
+    with pytest.raises(ValueError) as err:
+        read(obj)
+    assert str(err.value) == message
+
+
 def test_series_rejects_order_mismatch():
     with pytest.raises(ValueError):
         series_from_json({"order": 5, "coeffs": ["1", "2"]})

@@ -13,6 +13,7 @@ from dynzeta.series import (
     NonIntegerLogCoefficient,
     Series,
     SourceRangeError,
+    ZetaVerdict,
     exp_series,
     fix_from_zeta,
     is_zeta,
@@ -264,6 +265,50 @@ class TestSeriesAlgebra:
         assert exp_series(log_series(f)) == f
 
 
+RATIONAL_TAILS = st.lists(
+    st.fractions(min_value=-20, max_value=20, max_denominator=6), max_size=14
+)
+
+
+class TestExpLogOnZetaKernels:
+    """exp G is the zeta series of the counts k * G_k, and log inverts it."""
+
+    @given(RATIONAL_TAILS)
+    def test_exp_is_zeta_of_scaled_coefficients(self, tail):
+        g = Series.of([0, *tail])
+        counts = [k * c for k, c in enumerate(g.coeffs[1:], 1)]
+        assert list(exp_series(g).coeffs) == fraction_zeta(counts, g.order)
+
+    @given(RATIONAL_TAILS)
+    def test_exp_inverts_log(self, tail):
+        # exp is injective on constant term 0, so this pins log as well
+        f = Series.of([1, *tail])
+        assert exp_series(log_series(f)) == f
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: log_series(Series.of([2, 2])), ConstantTermNotOne,
+             "log needs constant term 1, got 2"),
+            (lambda: series_pow(Series.of([Fraction(1, 2), 1]), 3), ConstantTermNotOne,
+             "log needs constant term 1, got 1/2"),
+            (lambda: exp_series(Series.of([1, 2])), ValueError, "exp needs constant term 0, got 1"),
+            (lambda: Series(()), ValueError, "a series needs at least the constant coefficient"),
+        ],
+    )
+    def test_constant_term_errors(self, call, error, message):
+        with pytest.raises(error) as err:
+            call()
+        assert type(err.value) is error
+        assert str(err.value) == message
+
+    def test_fix_from_zeta_stops_at_the_first_bad_index(self):
+        # the log kernel yields lazily: nothing past a_1 is computed
+        with pytest.raises(NonIntegerLogCoefficient) as err:
+            fix_from_zeta(Series.of([1, Fraction(1, 2)], order=10**5))
+        assert err.value.index == 1
+
+
 class TestTimeChange:
     def test_identity(self):
         src = FixSource.geometric(2)
@@ -288,6 +333,20 @@ class TestTimeChange:
 
 
 class TestIsZeta:
+    def test_order_zero_passes(self):
+        assert is_zeta(Series.one(0)) == ZetaVerdict(True)
+
+    @pytest.mark.parametrize(
+        "coeffs, text",
+        [
+            ([1, 2, 4], "pass"),
+            ([2], "fail: constant_term_not_one"),
+            ([1, 1, 1, 0, 0], "fail: negative_count at n=3"),
+        ],
+    )
+    def test_verdict_describe(self, coeffs, text):
+        assert is_zeta(Series.of(coeffs)).describe() == text
+
     def test_full_shift_passes(self):
         assert is_zeta(zeta_from_fix(FixSource.geometric(2), 10)).passed
 

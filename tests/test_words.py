@@ -85,6 +85,20 @@ class TestGenerator:
             eval_generator(B(2, 0), 0)
 
     @pytest.mark.parametrize(
+        "kind, prime, level, message",
+        [
+            ("g", 2, 1.5, "level must be an integer, got 1.5"),
+            ("g", 2.0, 1, "prime must be an integer, got 2.0"),
+            ("h", True, 1, "prime must be an integer, got True"),
+            ("h", 3, False, "level must be an integer, got False"),
+        ],
+    )
+    def test_rejects_non_integer_fields(self, kind, prime, level, message):
+        with pytest.raises(ValueError) as err:
+            Generator(kind, prime, level)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
         "build, p",
         [
             (lambda: B(4, 0), 4),
@@ -166,6 +180,18 @@ class TestEvalWord:
     def test_eval_range_rejects_empty_range(self):
         with pytest.raises(ValueError):
             eval_range(Word((B(2, 0),)), 0)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: eval_word(Word((B(2, 0),)), 0), "words act on n >= 1, got 0"),
+            (lambda: equal_upto(Word(), Word(), 0), "max_n must be >= 1"),
+        ],
+    )
+    def test_rejects_n_below_one(self, call, message):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
 
 
 class TestEqualUpto:
