@@ -6,9 +6,10 @@ one JSON document to stdout (or --out), and exits with
     0   success, or a check that passed
     1   a check that failed (the output explains why)
     2   malformed input or usage error (message on stderr)
+    3   an internal failure: the library broke (one line on stderr)
 
 Any ValueError raised while handling a request is exit 2 with its message on
-stderr.
+stderr; any other exception is exit 3 with its type and message.
 
 Maps are named, not executed: `identity`, `mul:C`, `pow:B`, `nn`, `succ`,
 `gen:KIND:P:T`, `word:FILE`, `spec:FILE`. Count sources are `constant:C`,
@@ -20,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import cache, partial
+from functools import cache
 from typing import Callable
 
 from . import jsonio
@@ -34,15 +35,7 @@ from .exponents import (
 )
 from .sequences import check_realizable
 from .series import FixSource, _RangeMap, is_zeta, time_change_fix, zeta_from_fix
-from .words import (
-    Generator,
-    Word,
-    _exponent_tables,
-    _max_exponent,
-    _random_words,
-    eval_word,
-    normal_form,
-)
+from .words import Generator, Word, _PrimeMaps, _random_words, eval_word, normal_form
 
 __all__ = ["main"]
 
@@ -271,43 +264,18 @@ def cmd_divisibility_check(args) -> tuple[int, dict]:
     return (0 if report.all_hold else 1), out
 
 
-def _prefix_keys(
-    word: Word, top: Callable[[int], int], cut: Callable[[int], int]
-) -> tuple[tuple, tuple]:
-    """(exact key, bucket key) of a word on the prefix 1..max_n.
-
-    The exact key holds the word's exponent tables on the p**v <= max_n
-    (top(p) = the largest such v), sorted by prime, without the tables that
-    are the identity there. Two words agree on 1..max_n exactly when their
-    exact keys are equal: the value at n is read off the entries at v_p(n),
-    and n = p**v reads the entry v of p alone. The bucket key is the exact
-    key cut to the p**v <= min(64, max_n) (cut(p) = the largest such v):
-    equal exactly when the words agree on 1..min(64, max_n).
-    """
-    exact, bucket = [], []
-    for p, table in sorted(_exponent_tables(word, top).items()):
-        if table != list(range(len(table))):
-            exact.append((p, tuple(table)))
-            head = table[: cut(p) + 1]
-            if head != list(range(len(head))):
-                bucket.append((p, tuple(head)))
-    return tuple(exact), tuple(bucket)
-
-
 def cmd_relation_search(args) -> tuple[int, dict]:
     """Look for distinct normal forms that still agree up to --max-n.
 
     Words are sampled with the given seed and normalized; repeated normal
     forms are dropped. Each normal form's per-prime exponent tables are
-    built once and give two keys (see _prefix_keys). Forms are bucketed by
-    the key of the prefix 1..min(64, max_n), buckets in first-seen order,
+    built once and give two keys (see _PrimeMaps.keys). Forms are bucketed
+    by the key of the prefix 1..min(64, max_n), buckets in first-seen order,
     and every pair in a bucket with equal exact keys, i.e. agreeing on all of
     1..max_n, is reported. Any hit is a candidate relation beyond the
     built-in ones; nothing more is claimed.
     """
     count = _non_negative_int(args.count, "--count")
-    top = cache(partial(_max_exponent, max_n=args.max_n))
-    cut = cache(partial(_max_exponent, max_n=min(64, args.max_n)))
     # bucket key -> {normal form gens -> (normal form, exact key)}, both in
     # first-seen order; equal gens give equal keys, so a repeat meets its
     # first sighting in the same bucket
@@ -317,7 +285,7 @@ def cmd_relation_search(args) -> tuple[int, dict]:
         nf = normal_form(next(words))
         if args.max_n < 1:  # checked after the draw, whose argument errors come first
             raise UsageError("max_n must be >= 1")
-        exact, bucket = _prefix_keys(nf, top, cut)
+        exact, bucket = _PrimeMaps.from_word(nf, args.max_n).keys()
         buckets.setdefault(bucket, {}).setdefault(nf.gens, (nf, exact))
     coincidences = []
     for bucket in buckets.values():
@@ -423,6 +391,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
     text = json.dumps(payload, indent=2) + "\n"
     if args.out:
         try:

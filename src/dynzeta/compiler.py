@@ -26,26 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import is_prime
-from .exponents import (
-    BOUNDED,
-    UNBOUNDED,
-    ExponentSpec,
-    SpecViolation,
-    _spec_tables,
-    apply_spec,
-    validate_spec,
-)
-from .words import (
-    BUMP,
-    CAP,
-    Generator,
-    Word,
-    _exponent_tables,
-    _first_difference,
-    _generator,
-    _max_exponent,
-    eval_word,
-)
+from .exponents import BOUNDED, ExponentSpec, SpecViolation, apply_spec, validate_spec
+from .words import BUMP, CAP, Generator, Word, _generator, _PrimeMaps, eval_word
 
 __all__ = [
     "InvalidSpecError",
@@ -136,8 +118,9 @@ def verify_compile(result: CompileResult, spec: ExponentSpec, max_n: int) -> Mis
     table and spec function differ at v_p(n), and the first such n is the
     smallest differing admitted p**v. The first admitted n beyond an
     unbounded table, where the spec raises TableRangeError, is likewise the
-    smallest admitted p**(table_bound + 1). Whichever comes first is
-    evaluated pointwise: it raises, or gives the mismatch.
+    smallest admitted p**(table_bound + 1), where the spec's table ends.
+    Whichever comes first is evaluated pointwise: it raises, or gives the
+    mismatch.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
@@ -146,18 +129,9 @@ def verify_compile(result: CompileResult, spec: ExponentSpec, max_n: int) -> Mis
             raise ValueError(f"{p} is not prime")
     if any(bound < 0 for bound in result.agreement.values()):
         return None  # no n is admitted
-    tops, candidates = {}, []
-    for p in result.word.primes() | set(spec.functions):
-        top = min(_max_exponent(p, max_n), result.agreement.get(p, max_n))
-        fn = spec.functions.get(p)
-        if fn is not None and fn.shape == UNBOUNDED and fn.table_bound < top:
-            top = fn.table_bound
-            candidates.append(p ** (top + 1))
-        tops[p] = top
-    top = tops.__getitem__
-    n = _first_difference(_exponent_tables(result.word, top), _spec_tables(spec, top), top)
-    if n is not None:
-        candidates.append(n)
+    word = _PrimeMaps.from_word(result.word, max_n)
+    differences = word.first_differences(_PrimeMaps.from_spec(spec, max_n))
+    candidates = [p**v for p, v in differences.items() if v <= result.agreement.get(p, v)]
     if not candidates:
         return None
     n = min(candidates)

@@ -16,8 +16,8 @@ A valid spec has every exponent function non-decreasing, and bounded below
 by the identity (value >= index) on the whole table for unbounded shapes,
 respectively up to the eventual value for bounded ones.
 
-A spec evaluates a whole range 1..N through the same per-prime kernel as a
-word (`words._apply_tables`), with its exponent functions as the tables.
+A spec evaluates a whole range 1..N through the same per-prime value as a
+word (`words._PrimeMaps`), with its exponent functions as the tables.
 The map consumers here (membership probes, preimage structure, the
 divisibility laws), like series.time_change_fix, take a map's values on
 1..N once: in one range pass for word, spec and generator maps, and one
@@ -44,7 +44,7 @@ from typing import Callable, Iterator, Mapping
 from .arith import factorize, is_prime, primes_up_to
 from .sequences import DOLD, SIGN, RealizabilityVerdict, mobius_transform
 from .series import _map_residues, _map_values, _RangeMap
-from .words import Word, _apply_tables, _check_int, _exponent_tables, _max_exponent
+from .words import BOUNDED, UNBOUNDED, Word, _check_int, _PrimeMaps
 
 __all__ = [
     "BOUNDED",
@@ -66,23 +66,20 @@ __all__ = [
     "check_divisibility_properties",
 ]
 
-BOUNDED = "bounded"
-UNBOUNDED = "unbounded"
-
 NON_DECREASING = "non-decreasing"
 LOWER_BOUND = "exponent-lower-bound"
 
 
 class TableRangeError(ValueError):
-    """An unbounded-shape table was asked beyond its last entry."""
+    """An unbounded-shape table was asked beyond its last entry; prime is
+    None when the table was asked without one."""
 
-    def __init__(self, prime: int, exponent: int, bound: int):
+    def __init__(self, prime: int | None, exponent: int, bound: int):
         self.prime = prime
         self.exponent = exponent
         self.bound = bound
-        super().__init__(
-            f"table for prime {prime} covers exponents 0..{bound}, asked for {exponent}"
-        )
+        table = "table" if prime is None else f"table for prime {prime}"
+        super().__init__(f"{table} covers exponents 0..{bound}, asked for {exponent}")
 
 
 @dataclass(frozen=True)
@@ -130,7 +127,7 @@ class ExponentFunction:
             return self.values[v]
         if self.shape == BOUNDED:
             return self.values[-1]
-        raise TableRangeError(prime if prime is not None else -1, v, self.table_bound)
+        raise TableRangeError(prime, v, self.table_bound)
 
     def is_identity_table(self) -> bool:
         return all(d == i for i, d in enumerate(self.values))
@@ -220,19 +217,10 @@ def _spec_values(spec: ExponentSpec, max_n: int) -> Iterator[int]:
     power: the values before it come out first, then the same
     TableRangeError that apply_spec raises there.
     """
-    stop, error = max_n, None
-    for p, fn in spec.functions.items():
-        if fn.shape == UNBOUNDED and fn.table_bound < _max_exponent(p, stop):
-            stop = p ** (fn.table_bound + 1) - 1
-            error = TableRangeError(p, fn.table_bound + 1, fn.table_bound)
-    yield from _apply_tables(_spec_tables(spec, lambda p: _max_exponent(p, stop)), stop)
-    if error is not None:
-        raise error
-
-
-def _spec_tables(spec: ExponentSpec, top: Callable[[int], int]) -> dict[int, list[int]]:
-    """The spec's exponent table of each prime it maps, on exponents 0..top(p)."""
-    return {p: [fn.value(v, p) for v in range(top(p) + 1)] for p, fn in spec.functions.items()}
+    values = _PrimeMaps.from_spec(spec, max_n).values()
+    yield from values
+    if len(values) < max_n:
+        apply_spec(spec, len(values) + 1)  # raises: a table ends there
 
 
 def _spec_map(spec: ExponentSpec) -> Callable[[int], int]:
@@ -254,12 +242,8 @@ def spec_from_word(word: Word, max_prime: int, max_level: int) -> ExponentSpec:
     stray = [p for p in word.primes() if p > max_prime]
     if stray:
         raise ValueError(f"word touches primes {sorted(stray)} above {max_prime}")
-    tables = _exponent_tables(word, lambda p: max_level)
-    funcs = {
-        p: ExponentFunction.unbounded(tables.get(p, range(max_level + 1)))
-        for p in primes_up_to(max_prime)
-    }
-    return ExponentSpec(funcs)
+    tables = _PrimeMaps.tabulate(word, primes_up_to(max_prime), max_level)
+    return ExponentSpec({p: ExponentFunction.unbounded(table) for p, table in tables.items()})
 
 
 @dataclass(frozen=True)

@@ -144,6 +144,8 @@ def spec_from_json(obj) -> ExponentSpec:
     funcs = {}
     for key, body in primes.items():
         p = _as_int(key, "prime key")
+        if p in funcs:
+            raise ValueError(f"prime {p} is keyed twice in 'primes'")
         body = _expect_object(body, f"entry for prime {p}")
         shape = body.get("shape")
         values = body.get("values")
@@ -168,8 +170,10 @@ def compile_result_from_json(obj) -> CompileResult:
         raise ValueError("compile result needs a 'word' field")
     agreement_obj = obj.get("agreement", {})
     agreement_obj = _expect_object(agreement_obj, "'agreement'")
-    agreement = {
-        _as_int(k, "agreement prime"): _as_int(v, "agreement bound")
-        for k, v in agreement_obj.items()
-    }
+    agreement = {}
+    for k, v in agreement_obj.items():
+        p = _as_int(k, "agreement prime")
+        if p in agreement:
+            raise ValueError(f"prime {p} is keyed twice in 'agreement'")
+        agreement[p] = _as_int(v, "agreement bound")
     return CompileResult(word_from_json(obj["word"]), agreement)

@@ -12,12 +12,11 @@ list.
 
 A word therefore acts prime by prime: the generators of prime p send v_p(n)
 through a map on exponents that ignores every other prime. One pass over a
-word builds these per-prime exponent tables, one table per prime the word
-touches; range evaluation, prefix equality, the compile check and the CLI's
-relation search all read them. The range kernel takes any {prime: exponent
-table}, so exponent specs evaluate ranges through it as well.
-Equality is still only tested on a prefix 1..N, and a disagreement is
-returned as the smallest witness.
+word builds these per-prime exponent tables into a _PrimeMaps value, which
+exponent specs build as well; range evaluation, prefix equality, the
+compile check and the CLI's relation search all read it. Equality is still
+only tested on a prefix 1..N, and a disagreement is returned as the
+smallest witness.
 """
 
 from __future__ import annotations
@@ -25,7 +24,8 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from functools import lru_cache
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .arith import is_prime, primes_up_to
 from .series import _RangeMap
@@ -47,6 +47,11 @@ __all__ = [
 
 BUMP = "g"
 CAP = "h"
+
+# the shapes of an exponent function, exported by exponents; here because
+# _PrimeMaps.from_spec reads them
+BOUNDED = "bounded"
+UNBOUNDED = "unbounded"
 
 
 def _check_int(value, field: str) -> None:
@@ -146,99 +151,156 @@ def eval_word(word: Word, n: int) -> int:
     return n
 
 
-def _max_exponent(p: int, max_n: int) -> int:
-    """The largest v with p**v <= max_n, for max_n >= 1."""
-    v, q = 0, p
-    while q <= max_n:
-        q *= p
-        v += 1
-    return v
-
-
-def _exponent_tables(word: Word, top: Callable[[int], int]) -> dict[int, list[int]]:
-    """The word's maps on exponents, one table per prime it touches (in the
-    order the word first touches them), the table of p on exponents
-    0..top(p). Built in one pass over the word.
+class _PrimeMaps(NamedTuple):
+    """A map on 1..max_n that acts prime by prime, as {p: exponent table}.
 
     Entry v of the table of p is v_p of the image of every n with
-    v_p(n) == v: only the generators of prime p read or write that exponent.
-    A prime the word does not touch keeps its exponents, so its table would
-    be the identity.
+    v_p(n) == v; a prime without a table keeps its exponents. The table of
+    p covers the exponents v with p**v <= max_n, except that an unbounded
+    spec table is read only as far as it goes. Built by from_word and
+    from_spec; words and specs evaluate ranges, compare prefixes and key the
+    relation search through it.
     """
-    tables: dict[int, list[int]] = {}
-    for gen in word.gens:
-        p, t = gen.prime, gen.level
-        table = tables.get(p)
-        if table is None:
-            table = tables[p] = list(range(top(p) + 1))
-        # a bump raises the entries equal to t, a cap lowers those above t
-        # to t: both keep a table non-decreasing, so each rewrites one run
-        if gen.kind == BUMP:
-            lo = bisect_left(table, t)
-            hi = bisect_right(table, t, lo)
-            table[lo:hi] = [t + 1] * (hi - lo)
-        else:
-            lo = bisect_right(table, t)
-            table[lo:] = [t] * (len(table) - lo)
-    return tables
 
+    tables: dict[int, list[int]]
+    max_n: int
 
-def _first_difference(
-    left: Mapping[int, Sequence[int]],
-    right: Mapping[int, Sequence[int]],
-    top: Callable[[int], int],
-) -> int | None:
-    """The smallest p**v where two {p: exponent table} maps differ, or None.
-    A prime one side lacks has the identity table on 0..top(p) there."""
-    differences = []
-    for p in left.keys() | right.keys():
-        identity = range(top(p) + 1)
-        for v, (a, b) in enumerate(zip(left.get(p, identity), right.get(p, identity))):
-            if a != b:
-                differences.append(p**v)
-                break
-    return min(differences, default=None)
-
-
-def _apply_tables(tables: Mapping[int, Sequence[int]], max_n: int) -> list[int]:
-    """Values on 1..max_n (index 0 holds the image of 1) of the map that
-    sends v_p(n) to tables[p][v_p(n)] for each prime p in tables and keeps
-    every other prime's exponent. Each table covers the exponents 0..top,
-    top = _max_exponent(p, max_n).
-
-    One pass per prime: each n <= max_n must be scaled by p**(table[v] - v)
-    where v = v_p(n). Walking the multiples of p**v by slice for v = 0, 1,
-    ..., the pass applies only the change of that shift from v - 1 to v.
-    Nothing is rewritten below the first exponent v0 the table moves, so the
-    pass costs about max_n / p**v0 products. Every division is exact.
-    """
-    vals = list(range(1, max_n + 1))
-    for p, table in tables.items():
-        shift = 0  # the exponent shift already applied to multiples of p**v
-        q = 1
-        for v, image in enumerate(table):
-            delta = image - v - shift
-            if delta > 0:
-                f = p**delta
-                vals[q - 1 :: q] = [m * f for m in vals[q - 1 :: q]]
-            elif delta < 0:
-                f = p**-delta
-                vals[q - 1 :: q] = [m // f for m in vals[q - 1 :: q]]
-            shift += delta
+    @staticmethod
+    @lru_cache(maxsize=1024)
+    def _length(p: int, max_n: int) -> int:
+        """The number of exponents v with p**v <= max_n; cached, as every
+        value of one search or check asks the same few."""
+        v, q = 0, 1
+        while q <= max_n:
             q *= p
-    return vals
+            v += 1
+        return v
+
+    @classmethod
+    def _word_tables(cls, word: Word, tables: dict[int, list[int]],
+                     max_n: int) -> dict[int, list[int]]:
+        """tables, {p: identity table}, rewritten by the word in one pass; a
+        prime the word touches without a table first gets the identity on
+        the v with p**v <= max_n. Only the generators of p read or write
+        v_p, so each one rewrites its prime's table alone."""
+        length = cls._length
+        for gen in word.gens:
+            p, t = gen.prime, gen.level
+            table = tables.get(p)
+            if table is None:
+                table = tables[p] = list(range(length(p, max_n)))
+            # a bump raises the entries equal to t, a cap lowers those above t
+            # to t: both keep a table non-decreasing, so each rewrites one run
+            if gen.kind == BUMP:
+                lo = bisect_left(table, t)
+                hi = bisect_right(table, t, lo)
+                table[lo:hi] = [t + 1] * (hi - lo)
+            else:
+                lo = bisect_right(table, t)
+                table[lo:] = [t] * (len(table) - lo)
+        return tables
+
+    @classmethod
+    def from_word(cls, word: Word, max_n: int) -> "_PrimeMaps":
+        """The word on 1..max_n, one table per prime it touches."""
+        return cls(cls._word_tables(word, {}, max_n), max_n)
+
+    @classmethod
+    def tabulate(cls, word: Word, primes: Sequence[int], max_level: int) -> dict[int, list[int]]:
+        """The word's table of each of primes on exponents 0..max_level: the
+        one coverage that is not a prefix 1..N (spec_from_word's). primes
+        hold every prime the word touches, so no table is sized by max_n."""
+        return cls._word_tables(word, {p: list(range(max_level + 1)) for p in primes}, 0)
+
+    @classmethod
+    def from_spec(cls, spec, max_n: int) -> "_PrimeMaps":
+        """An exponent spec on 1..max_n: a bounded function repeats its last
+        value, and an unbounded table ends where its values do."""
+        tables = {}
+        for p, fn in spec.functions.items():
+            length = cls._length(p, max_n)
+            table = tables[p] = list(fn.values[:length])
+            if fn.shape == BOUNDED:
+                table += table[-1:] * (length - len(table))
+        return cls(tables, max_n)
+
+    def values(self) -> list[int]:
+        """Values on 1..max_n (index 0 holds the image of 1), or on 1..n - 1
+        when a table ends short and n = p**len(table) <= max_n is the
+        smallest point it misses.
+
+        One pass per prime: each n must be scaled by p**(table[v] - v) where
+        v = v_p(n). Walking the multiples of p**v by slice for v = 0, 1,
+        ..., the pass applies only the change of that shift from v - 1 to v.
+        Nothing is rewritten below the first exponent v0 the table moves, so
+        the pass costs about max_n / p**v0 products. Every division is exact.
+        """
+        ends = [p ** len(table) for p, table in self.tables.items()]
+        stop = min([n - 1 for n in ends if n <= self.max_n], default=self.max_n)
+        vals = list(range(1, stop + 1))
+        for p, table in self.tables.items():
+            shift = 0  # the exponent shift already applied to multiples of p**v
+            q = 1
+            for v, image in enumerate(table):
+                delta = image - v - shift
+                if delta > 0:
+                    f = p**delta
+                    vals[q - 1 :: q] = [m * f for m in vals[q - 1 :: q]]
+                elif delta < 0:
+                    f = p**-delta
+                    vals[q - 1 :: q] = [m // f for m in vals[q - 1 :: q]]
+                shift += delta
+                q *= p
+        return vals
+
+    def first_differences(self, other: "_PrimeMaps") -> dict[int, int]:
+        """{p: the first exponent where the tables of p differ or one ends},
+        over the primes where they do; a prime one side lacks has the
+        identity table there. Both sides cover the same 1..max_n."""
+        out = {}
+        for p in self.tables.keys() | other.tables.keys():
+            identity = range(self._length(p, self.max_n))
+            left, right = self.tables.get(p, identity), other.tables.get(p, identity)
+            v = next((v for v, (a, b) in enumerate(zip(left, right)) if a != b), None)
+            if v is None and len(left) != len(right):
+                v = min(len(left), len(right))
+            if v is not None:
+                out[p] = v
+        return out
+
+    def keys(self) -> tuple[tuple, tuple]:
+        """(exact key, bucket key) of the map on 1..max_n, for the CLI's
+        relation search.
+
+        The exact key holds the tables, sorted by prime, without those that
+        are the identity. Two words agree on 1..max_n exactly when their
+        exact keys are equal: the value at n is read off the entries at
+        v_p(n), and n = p**v reads the entry v of p alone. The bucket key is
+        the exact key cut to the p**v <= min(64, max_n): equal exactly when
+        the words agree on that prefix.
+        """
+        cut, length = min(64, self.max_n), self._length
+        exact, bucket = [], []
+        for p, table in sorted(self.tables.items()):
+            identity = list(range(len(table)))
+            if table != identity:
+                exact.append((p, tuple(table)))
+                v = length(p, cut)
+                if table[:v] != identity[:v]:
+                    bucket.append((p, tuple(table[:v])))
+        return tuple(exact), tuple(bucket)
 
 
 def eval_range(word: Word, max_n: int) -> list[int]:
     """Values of a word on 1..max_n (index 0 holds the image of 1).
 
     The word's exponent table of each prime it touches drives one pass of
-    the per-prime kernel, one pass per prime however many generators the
-    word has.
+    the per-prime kernel (_PrimeMaps.values), one pass per prime however
+    many generators the word has.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    return _apply_tables(_exponent_tables(word, lambda p: _max_exponent(p, max_n)), max_n)
+    return _PrimeMaps.from_word(word, max_n).values()
 
 
 @dataclass(frozen=True)
@@ -261,13 +323,11 @@ def equal_upto(w1: Word, w2: Word, max_n: int) -> Witness | None:
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-
-    def top(p):
-        return _max_exponent(p, max_n)
-
-    n = _first_difference(_exponent_tables(w1, top), _exponent_tables(w2, top), top)
-    if n is None:
+    left, right = _PrimeMaps.from_word(w1, max_n), _PrimeMaps.from_word(w2, max_n)
+    differences = left.first_differences(right)
+    if not differences:
         return None
+    n = min(p**v for p, v in differences.items())
     return Witness(n, eval_word(w1, n), eval_word(w2, n))
 
 

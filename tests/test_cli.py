@@ -269,6 +269,8 @@ ERROR_FILES = {
     "short_spec": {"primes": {"2": {"shape": "unbounded", "values": [1, 2]}}},
     "table3": {"entries": ["1", "3", "4"]},
     "negative": {"entries": ["1", "-3", "4"]},
+    "twice_spec": {"primes": {"2": {"shape": "bounded", "values": [1]},
+                              " 2": {"shape": "bounded", "values": [2]}}},
 }
 
 
@@ -321,6 +323,7 @@ ERROR_FILES = {
             ["membership-test", "--map", "gen:x:2:1", "--max-k", "3", "--max-n", "5"],
             "unknown generator kind 'x'",
         ),
+        (["spec-compile", "{twice_spec}"], "prime 2 is keyed twice in 'primes'"),
     ],
 )
 def test_library_errors_exit_2_with_their_message(capsys, tmp_path, argv, message):
@@ -359,3 +362,17 @@ def test_usage_errors_exit_2_with_their_message(capsys, tmp_path, argv, message)
     }
     argv = [arg.format_map(paths) for arg in argv]
     assert run(capsys, *argv) == (2, "", f"error: {message.format_map(paths)}\n")
+
+
+def test_internal_errors_exit_3_with_one_line(capsys, monkeypatch):
+    # an exception that is not a ValueError is the library breaking, not bad
+    # input: exit 3, its type and message on one stderr line, no traceback
+    def broken(args):
+        return 1 // 0
+
+    monkeypatch.setattr(cli, "cmd_zeta_from_fix", broken)
+    # the cached parser holds the handlers it was built with
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert run(capsys, "zeta-from-fix", "--source", "geometric:2", "--order", "3") == (
+        3, "", "internal error: ZeroDivisionError: integer division or modulo by zero\n"
+    )

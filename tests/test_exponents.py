@@ -101,6 +101,8 @@ class TestValidation:
     [
         (lambda: apply_spec(SQUARING, 0), "the map acts on n >= 1, got 0"),
         (lambda: ExponentFunction.bounded([1]).value(-1), "exponents are >= 0, got -1"),
+        (lambda: ExponentFunction.unbounded([0, 1]).value(5),
+         "table covers exponents 0..1, asked for 5"),
         (lambda: ExponentFunction.unbounded([1]).eventual,
          "only bounded functions have an eventual value"),
         (lambda: spec_from_word(Word(()), 5, max_level=-1), "max_level must be >= 0"),
@@ -134,6 +136,11 @@ class TestApply:
         with pytest.raises(TableRangeError) as err:
             apply_spec(spec, 4)
         assert err.value.prime == 2 and err.value.exponent == 2
+
+    def test_table_range_without_a_prime_names_none(self):
+        with pytest.raises(TableRangeError) as err:
+            ExponentFunction.unbounded([0, 1]).value(5)
+        assert (err.value.prime, err.value.exponent, err.value.bound) == (None, 5, 1)
 
     def test_identity_spec(self):
         spec = ExponentSpec({})

@@ -76,6 +76,12 @@ def test_series_accepts_plain_numbers():
         (spec_from_json, {"primes": {"2": {"shape": "bounded", "values": []}}},
          "prime 2 needs a non-empty 'values' list"),
         (compile_result_from_json, {"agreement": {}}, "compile result needs a 'word' field"),
+        (spec_from_json,
+         {"primes": {"2": {"shape": "bounded", "values": [1]},
+                     " 2": {"shape": "bounded", "values": [2]}}},
+         "prime 2 is keyed twice in 'primes'"),
+        (compile_result_from_json, {"word": {"gens": []}, "agreement": {"3": 1, "03": 2}},
+         "prime 3 is keyed twice in 'agreement'"),
     ],
 )
 def test_malformed_input_is_named(read, obj, message):
