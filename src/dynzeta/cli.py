@@ -35,7 +35,7 @@ from .exponents import (
 )
 from .sequences import check_realizable
 from .series import FixSource, _RangeMap, is_zeta, time_change_fix, zeta_from_fix
-from .words import Generator, Word, _PrimeMaps, _random_words, eval_word, normal_form
+from .words import Generator, Word, _coincidences, eval_word, normal_form
 
 __all__ = ["main"]
 
@@ -45,9 +45,23 @@ class UsageError(ValueError):
 
 
 def _load_json(path: str):
+    """The JSON document in path. An object that repeats a key is malformed:
+    json.load would keep only its last entry, so the file would silently say
+    something else."""
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise UsageError(f"{path} repeats the key {key!r} in one object")
+                seen.add(key)
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except OSError as err:
         raise UsageError(f"cannot read {path}: {err}") from None
     except json.JSONDecodeError as err:
@@ -267,39 +281,27 @@ def cmd_divisibility_check(args) -> tuple[int, dict]:
 def cmd_relation_search(args) -> tuple[int, dict]:
     """Look for distinct normal forms that still agree up to --max-n.
 
-    Words are sampled with the given seed and normalized; repeated normal
-    forms are dropped. Each normal form's per-prime exponent tables are
-    built once and give two keys (see _PrimeMaps.keys). Forms are bucketed
-    by the key of the prefix 1..min(64, max_n), buckets in first-seen order,
-    and every pair in a bucket with equal exact keys, i.e. agreeing on all of
-    1..max_n, is reported. Any hit is a candidate relation beyond the
+    Words are drawn with the given seed, seed + 1, ... and normalized;
+    repeated normal forms are dropped. The search makes one pass per drawn
+    word on plain (kind, prime, level) values: the draw is folded into the
+    normal form's per-prime parts, and each prime's exponent table and keys
+    come from those parts in the same loop (see words._coincidences). Forms
+    are bucketed by their tables cut to the prefix 1..min(64, max_n),
+    buckets in first-seen order, and every pair in a bucket with equal
+    tables, i.e. agreeing on all of 1..max_n, is reported; only the words of
+    those pairs are built. Any hit is a candidate relation beyond the
     built-in ones; nothing more is claimed.
     """
     count = _non_negative_int(args.count, "--count")
-    # bucket key -> {normal form gens -> (normal form, exact key)}, both in
-    # first-seen order; equal gens give equal keys, so a repeat meets its
-    # first sighting in the same bucket
-    buckets: dict[tuple, dict[tuple, tuple[Word, tuple]]] = {}
-    words = _random_words(args.seed, args.length, args.max_prime, args.max_level)
-    for _ in range(count):
-        nf = normal_form(next(words))
-        if args.max_n < 1:  # checked after the draw, whose argument errors come first
-            raise UsageError("max_n must be >= 1")
-        exact, bucket = _PrimeMaps.from_word(nf, args.max_n).keys()
-        buckets.setdefault(bucket, {}).setdefault(nf.gens, (nf, exact))
-    coincidences = []
-    for bucket in buckets.values():
-        forms = list(bucket.values())
-        for i, (left, key) in enumerate(forms):
-            for right, other in forms[i + 1 :]:
-                if key == other:
-                    coincidences.append(
-                        {
-                            "left": jsonio.word_to_json(left),
-                            "right": jsonio.word_to_json(right),
-                            "agree_up_to": args.max_n,
-                        }
-                    )
+    pairs = _coincidences(args.seed, count, args.length, args.max_prime, args.max_level, args.max_n)
+    coincidences = [
+        {
+            "left": jsonio.word_to_json(left),
+            "right": jsonio.word_to_json(right),
+            "agree_up_to": args.max_n,
+        }
+        for left, right in pairs
+    ]
     return 0, {
         "seed": args.seed,
         "count": count,

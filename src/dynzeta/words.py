@@ -13,10 +13,15 @@ list.
 A word therefore acts prime by prime: the generators of prime p send v_p(n)
 through a map on exponents that ignores every other prime. One pass over a
 word builds these per-prime exponent tables into a _PrimeMaps value, which
-exponent specs build as well; range evaluation, prefix equality, the
-compile check and the CLI's relation search all read it. Equality is still
-only tested on a prefix 1..N, and a disagreement is returned as the
-smallest witness.
+exponent specs build as well; range evaluation, prefix equality and the
+compile check read it. Equality is still only tested on a prefix 1..N, and
+a disagreement is returned as the smallest witness.
+
+The CLI's relation search (_coincidences) makes one pass per drawn word on
+plain (kind, prime, level) values: random_word's draw loop, normal_form's
+rule folding the draw into per-prime parts, and the per-prime table rewrite
+that _PrimeMaps uses, with each prime's keys taken in the same loop. It
+builds Generator and Word objects only for the pairs it reports.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .arith import is_prime, primes_up_to
 from .series import _RangeMap
@@ -93,12 +98,14 @@ class Generator:
 
 def _generator(kind: str, prime: int, level: int) -> Generator:
     """Generator(kind, prime, level) without its checks, for the internal
-    paths that build generators of a prime already known to be prime: the
-    caps of normal_form, the bumps and caps of compile_spec and the draws of
-    random_word. Their kinds and levels are valid by construction."""
+    paths that build generators of a prime already known to be prime: normal
+    forms, the bumps and caps of compile_spec and the draws of random_word.
+    Their kinds and levels are valid by construction."""
     gen = object.__new__(Generator)
     fields = gen.__dict__  # frozen refuses setattr, not the instance dict
-    fields["kind"], fields["prime"], fields["level"] = kind, prime, level
+    fields["kind"] = kind
+    fields["prime"] = prime
+    fields["level"] = level
     return gen
 
 
@@ -151,6 +158,20 @@ def eval_word(word: Word, n: int) -> int:
     return n
 
 
+def _rewrite(table: list[int], kind: str, level: int) -> None:
+    """Rewrite the exponent table of a prime in place by one generator of
+    that prime. A bump raises the entries equal to level by one, a cap
+    lowers those above level to level: both keep a table non-decreasing, so
+    each rewrites one run."""
+    if kind == BUMP:
+        lo = bisect_left(table, level)
+        hi = bisect_right(table, level, lo)
+        table[lo:hi] = [level + 1] * (hi - lo)
+    else:
+        lo = bisect_right(table, level)
+        table[lo:] = [level] * (len(table) - lo)
+
+
 class _PrimeMaps(NamedTuple):
     """A map on 1..max_n that acts prime by prime, as {p: exponent table}.
 
@@ -158,8 +179,8 @@ class _PrimeMaps(NamedTuple):
     v_p(n) == v; a prime without a table keeps its exponents. The table of
     p covers the exponents v with p**v <= max_n, except that an unbounded
     spec table is read only as far as it goes. Built by from_word and
-    from_spec; words and specs evaluate ranges, compare prefixes and key the
-    relation search through it.
+    from_spec; words and specs evaluate ranges and compare prefixes through
+    it.
     """
 
     tables: dict[int, list[int]]
@@ -185,19 +206,11 @@ class _PrimeMaps(NamedTuple):
         v_p, so each one rewrites its prime's table alone."""
         length = cls._length
         for gen in word.gens:
-            p, t = gen.prime, gen.level
+            p = gen.prime
             table = tables.get(p)
             if table is None:
                 table = tables[p] = list(range(length(p, max_n)))
-            # a bump raises the entries equal to t, a cap lowers those above t
-            # to t: both keep a table non-decreasing, so each rewrites one run
-            if gen.kind == BUMP:
-                lo = bisect_left(table, t)
-                hi = bisect_right(table, t, lo)
-                table[lo:hi] = [t + 1] * (hi - lo)
-            else:
-                lo = bisect_right(table, t)
-                table[lo:] = [t] * (len(table) - lo)
+            _rewrite(table, gen.kind, gen.level)
         return tables
 
     @classmethod
@@ -268,28 +281,6 @@ class _PrimeMaps(NamedTuple):
                 out[p] = v
         return out
 
-    def keys(self) -> tuple[tuple, tuple]:
-        """(exact key, bucket key) of the map on 1..max_n, for the CLI's
-        relation search.
-
-        The exact key holds the tables, sorted by prime, without those that
-        are the identity. Two words agree on 1..max_n exactly when their
-        exact keys are equal: the value at n is read off the entries at
-        v_p(n), and n = p**v reads the entry v of p alone. The bucket key is
-        the exact key cut to the p**v <= min(64, max_n): equal exactly when
-        the words agree on that prefix.
-        """
-        cut, length = min(64, self.max_n), self._length
-        exact, bucket = [], []
-        for p, table in sorted(self.tables.items()):
-            identity = list(range(len(table)))
-            if table != identity:
-                exact.append((p, tuple(table)))
-                v = length(p, cut)
-                if table[:v] != identity[:v]:
-                    bucket.append((p, tuple(table[:v])))
-        return tuple(exact), tuple(bucket)
-
 
 def eval_range(word: Word, max_n: int) -> list[int]:
     """Values of a word on 1..max_n (index 0 holds the image of 1).
@@ -331,6 +322,42 @@ def equal_upto(w1: Word, w2: Word, max_n: int) -> Witness | None:
     return Witness(n, eval_word(w1, n), eval_word(w2, n))
 
 
+# A normal form as plain values, one entry per prime it touches, by
+# ascending prime: (p, the levels of its bumps in application order, the
+# level of its cap or None). It gives the form's generators one to one.
+_Parts = tuple[tuple[int, tuple[int, ...], "int | None"], ...]
+
+
+def _normal_parts(gens: Iterable[tuple[str, int, int]]) -> _Parts:
+    """The normal form, as its parts, of the word whose generators are
+    gens, given as (kind, prime, level); the rule is normal_form's."""
+    bumps: dict[int, list[int]] = {}
+    caps: dict[int, int] = {}
+    for kind, p, t in gens:
+        if kind == CAP:
+            cur = caps.get(p)
+            if cur is None or t < cur:
+                caps[p] = t
+        else:
+            if caps.get(p) == t:
+                caps[p] = t + 1
+            levels = bumps.get(p)
+            if levels is None:
+                bumps[p] = [t]
+            else:
+                levels.append(t)
+    return tuple(
+        [(p, tuple(bumps.get(p, ())), caps.get(p)) for p in sorted(bumps.keys() | caps.keys())]
+    )
+
+
+def _normal_word(parts: _Parts) -> Word:
+    """The bumps-then-caps word of a normal form's parts."""
+    gens = [_generator(BUMP, p, t) for p, levels, _ in parts for t in levels]
+    gens += [_generator(CAP, p, cap) for p, _, cap in parts if cap is not None]
+    return Word(tuple(gens))
+
+
 def normal_form(word: Word) -> Word:
     """Rewrite a word so every bump precedes every cap in application order.
 
@@ -343,23 +370,7 @@ def normal_form(word: Word) -> Word:
     The result is semantically equal to the input; equality of distinct
     normal forms is still possible and must be tested by evaluation.
     """
-    bumps: dict[int, list[Generator]] = {}
-    caps: dict[int, int] = {}
-    for gen in word.gens:
-        if gen.kind == CAP:
-            cur = caps.get(gen.prime)
-            caps[gen.prime] = gen.level if cur is None else min(cur, gen.level)
-        else:
-            lvl = caps.get(gen.prime)
-            if lvl is not None and lvl == gen.level:
-                caps[gen.prime] = lvl + 1
-            bumps.setdefault(gen.prime, []).append(gen)
-    gens: list[Generator] = []
-    for p in sorted(bumps):
-        gens.extend(bumps[p])
-    for p in sorted(caps):
-        gens.append(_generator(CAP, p, caps[p]))
-    return Word(tuple(gens))
+    return _normal_word(_normal_parts([(g.kind, g.prime, g.level) for g in word.gens]))
 
 
 def is_normal_shape(word: Word) -> bool:
@@ -392,12 +403,15 @@ def random_word(seed: int, length: int, max_prime: int, max_level: int) -> Word:
     while r >= n: the rejection rule that CPython's choice and randint use,
     taken here in one loop without their wrapper calls.
     """
-    return next(_random_words(seed, length, max_prime, max_level))
+    gens = next(_draws(seed, length, max_prime, max_level))
+    return Word(tuple([_generator(kind, p, t) for kind, p, t in gens]))
 
 
-def _random_words(seed: int, length: int, max_prime: int, max_level: int) -> Iterator[Word]:
-    """random_word of seed, seed + 1, seed + 2, ... in turn, the primes
-    sieved once; the argument errors come at the first draw."""
+def _draws(seed: int, length: int, max_prime: int,
+           max_level: int) -> Iterator[list[tuple[str, int, int]]]:
+    """The generators of random_word(seed), random_word(seed + 1), ... in
+    turn, as plain (kind, prime, level) values, the primes sieved once; the
+    argument errors come at the first draw."""
     if length < 0:
         raise ValueError("length must be >= 0")
     primes = primes_up_to(max_prime)
@@ -421,6 +435,68 @@ def _random_words(seed: int, length: int, max_prime: int, max_level: int) -> Ite
             level = bits(k_levels)
             while level >= n_levels:
                 level = bits(k_levels)
-            gens.append(_generator(kinds[kind], primes[i], level))
-        yield Word(tuple(gens))
+            gens.append((kinds[kind], primes[i], level))
+        yield gens
         seed += 1
+
+
+def _coincidences(seed: int, count: int, length: int, max_prime: int, max_level: int,
+                  max_n: int) -> list[tuple[Word, Word]]:
+    """The pairs of distinct normal forms that agree on 1..max_n, among
+    those of the count words random_word(seed), random_word(seed + 1), ...:
+    the CLI's relation search.
+
+    One pass per drawn word. Its generators are drawn as plain values and
+    folded into its normal form's parts, and each prime's exponent table on
+    1..max_n is built from its part and keyed in the same loop. The exact
+    key holds the tables that are not the identity, by ascending prime: two
+    forms agree on 1..max_n exactly when their exact keys are equal, since
+    the value at n is read off the entries at v_p(n), and n = p**v reads
+    entry v of p alone. The bucket key is the exact key cut to the
+    p**v <= min(64, max_n). Forms are bucketed by it in first-seen order
+    and kept once per bucket by their parts; every pair in a bucket with
+    equal exact keys is returned, and words are built only for the forms
+    of these pairs, once each. The draw's argument errors come at the first
+    draw, then max_n below 1.
+    """
+    draws = _draws(seed, length, max_prime, max_level)
+    length_of = _PrimeMaps._length
+    # p -> (its identity table on 1..max_n, the entries it keeps when cut
+    # to the p**v <= min(64, max_n))
+    sizes: dict[int, tuple[list[int], int]] = {}
+    # bucket key -> {parts -> exact key}, both in first-seen order; equal
+    # parts give equal keys, so a repeat meets its first sighting in the
+    # same bucket
+    buckets: dict[tuple, dict[_Parts, list]] = {}
+    for _ in range(count):
+        parts = _normal_parts(next(draws))
+        if max_n < 1:
+            raise ValueError("max_n must be >= 1")
+        exact, bucket = [], []
+        for p, levels, cap in parts:
+            size = sizes.get(p)
+            if size is None:
+                size = sizes[p] = (list(range(length_of(p, max_n))), length_of(p, min(64, max_n)))
+            identity, cut = size
+            table = identity.copy()
+            for t in levels:
+                _rewrite(table, BUMP, t)
+            if cap is not None:
+                _rewrite(table, CAP, cap)
+            if table != identity:
+                exact.append((p, table))
+                if table[:cut] != identity[:cut]:
+                    bucket.append((p, tuple(table[:cut])))
+        buckets.setdefault(tuple(bucket), {}).setdefault(parts, exact)
+    built: dict[_Parts, Word] = {}  # the forms of the pairs found so far
+    pairs = []
+    for bucket in buckets.values():
+        forms = list(bucket.items())
+        for i, (left, key) in enumerate(forms):
+            for right, other in forms[i + 1 :]:
+                if key == other:
+                    for parts in (left, right):
+                        if parts not in built:
+                            built[parts] = _normal_word(parts)
+                    pairs.append((built[left], built[right]))
+    return pairs

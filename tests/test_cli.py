@@ -376,3 +376,35 @@ def test_internal_errors_exit_3_with_one_line(capsys, monkeypatch):
     assert run(capsys, "zeta-from-fix", "--source", "geometric:2", "--order", "3") == (
         3, "", "internal error: ZeroDivisionError: integer division or modulo by zero\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, text, key",
+    [
+        (
+            ["spec-compile", "{file}"],
+            '{"primes": {"2": {"shape": "bounded", "values": [5]},'
+            ' "2": {"shape": "bounded", "values": [1]}}, "default": "identity"}',
+            "2",
+        ),
+        (
+            ["word-eval", "{file}", "--n", "3"],
+            '{"word": {"gens": [{"kind": "g", "p": 3, "t": 1}]}, "agreement": {"3": 1},'
+            ' "word": {"gens": []}}',
+            "word",
+        ),
+        (
+            ["realizable-check", "{file}"],
+            '{"n": 2, "entries": ["1", "3"], "entries": ["1", "1"]}',
+            "entries",
+        ),
+    ],
+    ids=["spec", "compile-result", "sequence"],
+)
+def test_repeated_keys_exit_2_naming_the_file_and_key(capsys, tmp_path, argv, text, key):
+    # json.load keeps the last of two equal keys, so without the check each
+    # file here is read as a different, valid request and exits 0
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    argv = [arg.format(file=path) for arg in argv]
+    assert run(capsys, *argv) == (2, "", f"error: {path} repeats the key {key!r} in one object\n")

@@ -137,3 +137,38 @@ def test_primes_are_sieved_once_per_search(monkeypatch):
     code, out, _ = cli(1, 40, 8, 1000, 4, 10000)
     assert code == 0 and json.loads(out)["count"] == 40
     assert calls == [1000]
+
+
+@pytest.mark.parametrize("seed", [0, 1, -(2**40) - 3, 987654321])
+@pytest.mark.parametrize("count, max_n", [(100, 10000), (400, 10000), (100, 64), (400, 64)])
+def test_benchmark_shapes_match(seed, count, max_n):
+    # the monoid workload's requests: default length, max prime and max
+    # level; at max_n 64 a search of 400 words finds coincidences
+    code, out, _ = check(seed, count, 8, 7, 4, max_n)
+    assert code == 0
+    if (count, max_n) == (400, 64):
+        assert json.loads(out)["coincidences"]
+
+
+@pytest.mark.parametrize("seed, max_n", [(1, 64), (2, 64), (3, 10000)])
+def test_generators_are_built_only_for_reported_words(monkeypatch, seed, max_n):
+    # the search draws, normalizes and keys plain values; a Generator is
+    # built only for the words of the reported pairs, once per word
+    built, generator = [], words._generator
+
+    def counting_generator(kind, prime, level):
+        built.append((kind, prime, level))
+        return generator(kind, prime, level)
+
+    monkeypatch.setattr(words, "_generator", counting_generator)
+    code, out, _ = cli(seed, 400, 8, 7, 4, max_n)
+    assert code == 0
+    reported = {
+        json.dumps(pair[side], sort_keys=True)
+        for pair in json.loads(out)["coincidences"]
+        for side in ("left", "right")
+    }
+    assert reported or max_n == 10000  # coincidences are rare at max_n 10000
+    assert sorted(built) == sorted(
+        (g["kind"], g["p"], g["t"]) for word in reported for g in json.loads(word)["gens"]
+    )
