@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .arith import is_prime
 from .exponents import BOUNDED, ExponentSpec, SpecViolation, apply_spec, validate_spec
-from .words import BUMP, CAP, Generator, Word, _generator, _PrimeMaps, eval_word
+from .words import Generator, Word, _normal_word, _PrimeMaps, eval_word
 
 __all__ = [
     "InvalidSpecError",
@@ -76,28 +76,28 @@ def compile_spec(spec: ExponentSpec) -> CompileResult:
 
     The caps commute with every other prime's bumps, so gathering them last
     keeps the word in bumps-then-caps shape without changing its meaning.
+    Each prime's blocks and cap are its part of a normal form, assembled as
+    normal_form assembles its own, so a compiled word is a normal form.
     """
     violations = validate_spec(spec)
     if violations:
         raise InvalidSpecError(violations)
-    bumps: list[Generator] = []
-    caps: list[Generator] = []
+    parts = []
     agreement: dict[int, int] = {}
     for p, fn in spec.functions.items():
+        cap = None
         if fn.shape == BOUNDED:
-            eventual = fn.eventual
+            cap = fn.eventual
             top = len(fn.values) - 1
-            while top > 0 and fn.values[top - 1] == eventual:
+            while top > 0 and fn.values[top - 1] == cap:
                 top -= 1
-            caps.append(_generator(CAP, p, eventual))
         else:
-            top = fn.table_bound
-            agreement[p] = top
-        # the bumps of block_gadget(p, t, fn.value(t)), t descending; the
-        # spec checked p, and validity puts each target at or above t
-        for t in range(top, -1, -1):
-            bumps.extend(_generator(BUMP, p, level) for level in range(t, fn.value(t)))
-    return CompileResult(Word(tuple(bumps + caps)), agreement)
+            top = agreement[p] = fn.table_bound
+        # the bump levels of block_gadget(p, t, fn.value(t)), t descending;
+        # validity puts each target at or above t
+        levels = [level for t in range(top, -1, -1) for level in range(t, fn.value(t))]
+        parts.append((p, tuple(levels), cap))
+    return CompileResult(_normal_word(tuple(parts)), agreement)
 
 
 @dataclass(frozen=True)

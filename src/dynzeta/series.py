@@ -108,7 +108,8 @@ class FixSource:
         if n < 1:
             raise ValueError(f"count sources are indexed from 1, got {n}")
         a = self._rule(n)
-        if not isinstance(a, int) or a < 0:
+        # a bool is not a count; an exact int passes on its type alone
+        if type(a) is not int and (type(a) is bool or not isinstance(a, int)) or a < 0:
             raise ValueError(f"source {self.label} produced {a!r} at n={n}")
         return a
 
@@ -140,7 +141,7 @@ class FixSource:
         """Finite table; out-of-range lookups raise SourceRangeError."""
         values = list(entries)
         for i, a in enumerate(values):
-            if not isinstance(a, int) or a < 0:
+            if type(a) is not int and (type(a) is bool or not isinstance(a, int)) or a < 0:
                 raise ValueError(f"table entry {i + 1} is {a!r}")
 
         def rule(n: int) -> int:
@@ -159,7 +160,7 @@ class FixSource:
         """
         table = list(counts)
         for i, c in enumerate(table):
-            if not isinstance(c, int) or c < 0:
+            if type(c) is not int and (type(c) is bool or not isinstance(c, int)) or c < 0:
                 raise ValueError(f"orbit count {i + 1} is {c!r}")
 
         def rule(n: int) -> int:
@@ -302,17 +303,19 @@ def _map_values(f: Callable[[int], int], max_n: int,
 
     A map with a range path (word, spec and generator maps, and the CLI's
     power maps) gives them in one pass. A plain callable is called per n,
-    and unless `invalid` is None each value must be an int >= 1, else
-    ValueError(invalid.format(n=n, m=m)) at the first bad n. Either way
-    nothing after the first failing n is produced, so a consumer sees
-    values and errors in the order of n.
+    and unless `invalid` is None each value must be an int >= 1 and not a
+    bool, else ValueError(invalid.format(n=n, m=m)) at the first bad n.
+    Either way nothing after the first failing n is produced, so a consumer
+    sees values and errors in the order of n.
     """
     if isinstance(f, _RangeMap):
         yield from f.values(max_n)
         return
     for n in range(1, max_n + 1):
         m = f(n)
-        if invalid is not None and (not isinstance(m, int) or m < 1):
+        if invalid is not None and (
+            type(m) is not int and (type(m) is bool or not isinstance(m, int)) or m < 1
+        ):
             raise ValueError(invalid.format(n=n, m=m))
         yield m
 

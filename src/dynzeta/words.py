@@ -11,17 +11,24 @@ rendering in the usual right-to-left composition notation must reverse the
 list.
 
 A word therefore acts prime by prime: the generators of prime p send v_p(n)
-through a map on exponents that ignores every other prime. One pass over a
-word builds these per-prime exponent tables into a _PrimeMaps value, which
-exponent specs build as well; range evaluation, prefix equality and the
-compile check read it. Equality is still only tested on a prefix 1..N, and
-a disagreement is returned as the smallest witness.
+through a map on exponents that ignores every other prime. Its normal form
+gives that map as one part per prime (the levels of p's bumps in order, then
+at most one cap), and each value is built from the parts one way: a word's
+exponent tables (_PrimeMaps, which exponent specs build as well) are
+identity tables rewritten by them (_part_table), and a form's word,
+compile_spec's too, is them assembled bumps first, then caps (_normal_word).
+Range evaluation, prefix equality and the compile check read the tables.
+Equality is still only tested on a prefix 1..N, and a disagreement is
+returned as the smallest witness.
+
+Every generator built is checked: the internal paths build theirs through
+_generator, which checks each distinct generator once and shares it.
 
 The CLI's relation search (_coincidences) makes one pass per drawn word on
 plain (kind, prime, level) values: random_word's draw loop, normal_form's
-rule folding the draw into per-prime parts, and the per-prime table rewrite
-that _PrimeMaps uses, with each prime's keys taken in the same loop. It
-builds Generator and Word objects only for the pairs it reports.
+rule folding the draw into per-prime parts, and the same table rule on
+these parts, with each prime's keys taken in the same loop. It builds
+Generator and Word objects only for the pairs it reports.
 """
 
 from __future__ import annotations
@@ -96,17 +103,11 @@ class Generator:
         return f"{self.kind}({self.prime},{self.level})"
 
 
-def _generator(kind: str, prime: int, level: int) -> Generator:
-    """Generator(kind, prime, level) without its checks, for the internal
-    paths that build generators of a prime already known to be prime: normal
-    forms, the bumps and caps of compile_spec and the draws of random_word.
-    Their kinds and levels are valid by construction."""
-    gen = object.__new__(Generator)
-    fields = gen.__dict__  # frozen refuses setattr, not the instance dict
-    fields["kind"] = kind
-    fields["prime"] = prime
-    fields["level"] = level
-    return gen
+# Generator(kind, prime, level), checked once per distinct generator and
+# then shared: the one constructor of the internal paths (normal forms,
+# compile_spec's words and random_word's draws), whose words repeat a few
+# generators many times. Sharing is safe, as generators are frozen.
+_generator = lru_cache(maxsize=4096)(Generator)
 
 
 def eval_generator(gen: Generator, n: int) -> int:
@@ -158,18 +159,26 @@ def eval_word(word: Word, n: int) -> int:
     return n
 
 
-def _rewrite(table: list[int], kind: str, level: int) -> None:
-    """Rewrite the exponent table of a prime in place by one generator of
-    that prime. A bump raises the entries equal to level by one, a cap
-    lowers those above level to level: both keep a table non-decreasing, so
-    each rewrites one run."""
-    if kind == BUMP:
-        lo = bisect_left(table, level)
-        hi = bisect_right(table, level, lo)
-        table[lo:hi] = [level + 1] * (hi - lo)
-    else:
-        lo = bisect_right(table, level)
-        table[lo:] = [level] * (len(table) - lo)
+# A normal form as plain values, one entry per prime it touches, by
+# ascending prime: (p, the levels of its bumps in application order, the
+# level of its cap or None). It gives the form's generators one to one.
+_Parts = tuple[tuple[int, tuple[int, ...], "int | None"], ...]
+
+
+def _part_table(table: list[int], levels: Iterable[int], cap: int | None) -> list[int]:
+    """table, the exponent table of a prime, rewritten in place by that
+    prime's part of a normal form: its bumps at levels, in order, then its
+    cap. A bump raises the entries equal to its level by one, a cap lowers
+    those above its level to it: both keep a table non-decreasing, so each
+    rewrites one run."""
+    for t in levels:
+        lo = bisect_left(table, t)
+        hi = bisect_right(table, t, lo)
+        table[lo:hi] = [t + 1] * (hi - lo)
+    if cap is not None:
+        lo = bisect_right(table, cap)
+        table[lo:] = [cap] * (len(table) - lo)
+    return table
 
 
 class _PrimeMaps(NamedTuple):
@@ -198,32 +207,22 @@ class _PrimeMaps(NamedTuple):
         return v
 
     @classmethod
-    def _word_tables(cls, word: Word, tables: dict[int, list[int]],
-                     max_n: int) -> dict[int, list[int]]:
-        """tables, {p: identity table}, rewritten by the word in one pass; a
-        prime the word touches without a table first gets the identity on
-        the v with p**v <= max_n. Only the generators of p read or write
-        v_p, so each one rewrites its prime's table alone."""
-        length = cls._length
-        for gen in word.gens:
-            p = gen.prime
-            table = tables.get(p)
-            if table is None:
-                table = tables[p] = list(range(length(p, max_n)))
-            _rewrite(table, gen.kind, gen.level)
-        return tables
-
-    @classmethod
     def from_word(cls, word: Word, max_n: int) -> "_PrimeMaps":
-        """The word on 1..max_n, one table per prime it touches."""
-        return cls(cls._word_tables(word, {}, max_n), max_n)
+        """The word on 1..max_n, one table per prime it touches: the identity
+        on the v with p**v <= max_n, rewritten by the prime's part of the
+        word's normal form."""
+        length = cls._length
+        return cls({p: _part_table(list(range(length(p, max_n))), levels, cap)
+                    for p, levels, cap in _word_parts(word)}, max_n)
 
-    @classmethod
-    def tabulate(cls, word: Word, primes: Sequence[int], max_level: int) -> dict[int, list[int]]:
+    @staticmethod
+    def tabulate(word: Word, primes: Sequence[int], max_level: int) -> dict[int, list[int]]:
         """The word's table of each of primes on exponents 0..max_level: the
         one coverage that is not a prefix 1..N (spec_from_word's). primes
-        hold every prime the word touches, so no table is sized by max_n."""
-        return cls._word_tables(word, {p: list(range(max_level + 1)) for p in primes}, 0)
+        hold every prime the word touches."""
+        parts = {p: (levels, cap) for p, levels, cap in _word_parts(word)}
+        return {p: _part_table(list(range(max_level + 1)), *parts.get(p, ((), None)))
+                for p in primes}
 
     @classmethod
     def from_spec(cls, spec, max_n: int) -> "_PrimeMaps":
@@ -322,12 +321,6 @@ def equal_upto(w1: Word, w2: Word, max_n: int) -> Witness | None:
     return Witness(n, eval_word(w1, n), eval_word(w2, n))
 
 
-# A normal form as plain values, one entry per prime it touches, by
-# ascending prime: (p, the levels of its bumps in application order, the
-# level of its cap or None). It gives the form's generators one to one.
-_Parts = tuple[tuple[int, tuple[int, ...], "int | None"], ...]
-
-
 def _normal_parts(gens: Iterable[tuple[str, int, int]]) -> _Parts:
     """The normal form, as its parts, of the word whose generators are
     gens, given as (kind, prime, level); the rule is normal_form's."""
@@ -351,6 +344,11 @@ def _normal_parts(gens: Iterable[tuple[str, int, int]]) -> _Parts:
     )
 
 
+def _word_parts(word: Word) -> _Parts:
+    """The parts of the word's normal form."""
+    return _normal_parts([(g.kind, g.prime, g.level) for g in word.gens])
+
+
 def _normal_word(parts: _Parts) -> Word:
     """The bumps-then-caps word of a normal form's parts."""
     gens = [_generator(BUMP, p, t) for p, levels, _ in parts for t in levels]
@@ -370,7 +368,7 @@ def normal_form(word: Word) -> Word:
     The result is semantically equal to the input; equality of distinct
     normal forms is still possible and must be tested by evaluation.
     """
-    return _normal_word(_normal_parts([(g.kind, g.prime, g.level) for g in word.gens]))
+    return _normal_word(_word_parts(word))
 
 
 def is_normal_shape(word: Word) -> bool:
@@ -448,16 +446,17 @@ def _coincidences(seed: int, count: int, length: int, max_prime: int, max_level:
 
     One pass per drawn word. Its generators are drawn as plain values and
     folded into its normal form's parts, and each prime's exponent table on
-    1..max_n is built from its part and keyed in the same loop. The exact
-    key holds the tables that are not the identity, by ascending prime: two
-    forms agree on 1..max_n exactly when their exact keys are equal, since
-    the value at n is read off the entries at v_p(n), and n = p**v reads
-    entry v of p alone. The bucket key is the exact key cut to the
-    p**v <= min(64, max_n). Forms are bucketed by it in first-seen order
-    and kept once per bucket by their parts; every pair in a bucket with
-    equal exact keys is returned, and words are built only for the forms
-    of these pairs, once each. The draw's argument errors come at the first
-    draw, then max_n below 1.
+    1..max_n is built from its part by _PrimeMaps' rule (_part_table, on a
+    copy of an identity table kept per search) and keyed in the same loop.
+    The exact key holds the tables that are not the identity, by ascending
+    prime: two forms agree on 1..max_n exactly when their exact keys are
+    equal, since the value at n is read off the entries at v_p(n), and
+    n = p**v reads entry v of p alone. The bucket key is the exact key cut
+    to the p**v <= min(64, max_n). Forms are bucketed by it in first-seen
+    order and kept once per bucket by their parts; every pair in a bucket
+    with equal exact keys is returned, and words are built only for the
+    forms of these pairs, once each, from checked generators. The draw's
+    argument errors come at the first draw, then max_n below 1.
     """
     draws = _draws(seed, length, max_prime, max_level)
     length_of = _PrimeMaps._length
@@ -478,11 +477,7 @@ def _coincidences(seed: int, count: int, length: int, max_prime: int, max_level:
             if size is None:
                 size = sizes[p] = (list(range(length_of(p, max_n))), length_of(p, min(64, max_n)))
             identity, cut = size
-            table = identity.copy()
-            for t in levels:
-                _rewrite(table, BUMP, t)
-            if cap is not None:
-                _rewrite(table, CAP, cap)
+            table = _part_table(identity.copy(), levels, cap)
             if table != identity:
                 exact.append((p, table))
                 if table[:cut] != identity[:cut]:

@@ -8,16 +8,17 @@ building an orbit multiset. The zeta recurrences on Fraction and the quadratic
 divisibility scan are the reference versions of the library's integer and
 multiples-walk kernels; the per-generator range passes, the scanning prefix
 equality and the per-n compile check are the reference versions of its
-per-prime exponent-table kernels. The per-n map consumers (membership
-probes, preimage structure, time-changed counts), with the factorizing
-prime-support scan of divisibility_counterexamples, are the reference
-versions of the consumers that take a map's values once, and the per-probe
-membership loop, one sieve per orbit length, is the reference version of
-the probes that share one packed transform. The public Random.choice and
-randint draws are the reference version of random_word's one-loop sampler,
-and the fingerprint search (64-point range passes, then a scan of the full
-prefix for every pair in a bucket) is the reference version of the
-relation search on exact per-prime keys.
+per-prime exponent-table kernels, and the per-generator table rewrite is
+the reference version of its tables built from normal-form parts. The per-n
+map consumers (membership probes, preimage structure, time-changed counts),
+with the factorizing prime-support scan of divisibility_counterexamples, are
+the reference versions of the consumers that take a map's values once, and
+the per-probe membership loop, one sieve per orbit length, is the reference
+version of the probes that share one packed transform. The public
+Random.choice and randint draws are the reference version of random_word's
+one-loop sampler, and the fingerprint search (64-point range passes, then
+a scan of the full prefix for every pair in a bucket) is the reference
+version of the relation search on exact per-prime keys.
 """
 
 from fractions import Fraction
@@ -269,6 +270,24 @@ def generator_pass_eval_range(gens, max_n):
     return vals
 
 
+def per_generator_tables(gens, max_n, tables=None):
+    """tables ({p: exponent table}, empty when None) rewritten by the word
+    with generators (kind, prime, level) in application order, one
+    generator at a time: a prime first touched without a table gets the
+    identity on the v with p**v <= max_n, then each generator maps every
+    entry of its prime's table (a bump sends its level to level + 1, a cap
+    sends every entry above its level to it)."""
+    tables = {} if tables is None else tables
+    for kind, p, level in gens:
+        if p not in tables:
+            tables[p] = [v for v in range(max_n.bit_length() + 1) if p**v <= max_n]
+        if kind == "g":
+            tables[p] = [v + 1 if v == level else v for v in tables[p]]
+        else:
+            tables[p] = [min(v, level) for v in tables[p]]
+    return tables
+
+
 def scan_equal_upto(gens1, gens2, max_n):
     """(n, left, right) at the first n <= max_n where the two words differ,
     by scanning both ranges; None when they agree on 1..max_n."""
@@ -326,11 +345,11 @@ MAP_VALUE = "map produced {m!r} at n={n}; expected an integer >= 1"
 
 def pointwise_values(f, max_n, message=MAP_VALUE):
     """f(1), ..., f(max_n), one call per n, each required to be an int >= 1
-    (ValueError(message) at the first n where it is not)."""
+    and not a bool (ValueError(message) at the first n where it is not)."""
     values = []
     for n in range(1, max_n + 1):
         m = f(n)
-        if not isinstance(m, int) or m < 1:
+        if type(m) is bool or not isinstance(m, int) or m < 1:
             raise ValueError(message.format(n=n, m=m))
         values.append(m)
     return values
@@ -373,7 +392,7 @@ def pointwise_time_change_fix(h, count, length):
     out = []
     for n in range(1, length + 1):
         m = h(n)
-        if not isinstance(m, int) or m < 1:
+        if type(m) is bool or not isinstance(m, int) or m < 1:
             raise ValueError(f"time-change value h({n}) = {m!r}; expected an integer >= 1")
         out.append(count(m))
     return out

@@ -278,6 +278,14 @@ class TestSoundnessSweep:
             result = compile_spec(spec)
             assert verify_compile(result, spec, 5000) is None
 
+    def test_compiled_words_are_normal_forms(self):
+        rng = random.Random(303)
+        for _ in range(300):
+            spec = build_spec(random_valid_spec_tables(rng, (2, 3, 5, 7, 11)))
+            word = compile_spec(spec).word
+            assert normal_form(word) == word
+            assert is_normal_shape(word)
+
     def test_normalized_compiled_words_still_verify(self):
         rng = random.Random(202)
         for _ in range(60):

@@ -286,6 +286,7 @@ class TestPlainCallables:
         (lambda n: n - 3, "-2", 1),
         (lambda n: 0 if n == 7 else n, "0", 7),
         (lambda n: None if n == 3 else n, "None", 3),
+        (lambda n: True if n == 4 else n, "True", 4),
     ]
 
     @pytest.mark.parametrize("f, shown, at", BAD)

@@ -66,6 +66,15 @@ class TestSources:
             FixSource.table([1, -2])
         with pytest.raises(ValueError):
             FixSource.constant(3).value(0)
+        # a bool is not a count, as in check_realizable
+        with pytest.raises(ValueError, match=r"^table entry 1 is True$"):
+            FixSource.table([True, 2])
+        with pytest.raises(ValueError, match=r"^orbit count 2 is False$"):
+            FixSource.from_orbit_counts([1, False])
+        with pytest.raises(ValueError, match=r"^source reg:True produced True at n=1$"):
+            FixSource.single_orbit(True).value(1)
+        with pytest.raises(ValueError, match=r"^source bits produced True at n=1$"):
+            FixSource("bits", lambda n: n == 1).prefix(2)
 
 
 class TestZetaFromFix:
@@ -326,6 +335,8 @@ class TestTimeChange:
     def test_rejects_zero_values(self):
         with pytest.raises(ValueError):
             time_change_fix(lambda n: n - 1, FixSource.geometric(2), 3)
+        with pytest.raises(ValueError, match=r"^time-change value h\(1\) = True; "):
+            time_change_fix(lambda n: True, FixSource.geometric(2), 3)
 
     def test_source_range_propagates(self):
         with pytest.raises(SourceRangeError):

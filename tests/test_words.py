@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dynzeta.words as words
 from dynzeta.arith import valuation
@@ -22,7 +22,7 @@ from dynzeta.words import (
     random_word,
 )
 
-from oracles import generator_pass_eval_range, scan_equal_upto
+from oracles import generator_pass_eval_range, per_generator_tables, scan_equal_upto
 
 B, C = Generator.bump, Generator.cap
 
@@ -113,20 +113,33 @@ class TestGenerator:
             build()
         assert str(err.value) == f"{p} is not prime"
 
-    def test_internal_rebuilds_skip_the_primality_test(self, monkeypatch):
+    def test_internal_rebuilds_check_each_distinct_generator_once(self, monkeypatch):
         calls = []
         real = words.is_prime
         monkeypatch.setattr(words, "is_prime", lambda p: calls.append(p) or real(p))
+        words._generator.cache_clear()
         word = random_word(7, 40, 13, 4)
         nf = normal_form(word)
         spec = ExponentSpec(
             {2: ExponentFunction.bounded([1, 3, 3]), 5: ExponentFunction.unbounded([2, 2, 4])}
         )
         compiled = compile_spec(spec).word
-        assert calls == []
+        distinct = {(g.kind, g.prime, g.level) for w in (word, nf, compiled) for g in w}
+        assert sorted(calls) == sorted(p for _, p, _ in distinct)
+        calls.clear()
+        assert normal_form(word) == nf and compile_spec(spec).word == compiled
+        assert calls == []  # rebuilt from the shared, already checked generators
         for w in (word, nf, compiled):
             assert w == Word(tuple(Generator(g.kind, g.prime, g.level) for g in w.gens))
-        assert calls
+        assert calls  # public construction checks every time
+
+    def test_internal_constructor_is_checked_and_bounded(self):
+        with pytest.raises(ValueError) as err:
+            words._generator("g", 4, 0)
+        assert str(err.value) == "4 is not prime"
+        maxsize = words._generator.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0
+        assert words._generator("h", 3, 2) is words._generator("h", 3, 2)
 
     @given(gen_strategy, st.integers(min_value=1, max_value=50000))
     def test_valuation_postconditions(self, gen, n):
@@ -192,6 +205,26 @@ class TestEvalWord:
         with pytest.raises(ValueError) as err:
             call()
         assert str(err.value) == message
+
+
+class TestPrimeMapTables:
+    # a word's tables come from its normal-form parts; the reference
+    # rewrites them one generator at a time
+    @given(wide_word_strategy, st.one_of(st.just(1), edge_max_n))
+    @example(Word((B(2, 0), B(2, 1), C(2, 1), B(10007, 0), C(3, 5))), 1)
+    @settings(max_examples=300, deadline=None)
+    def test_from_word_matches_per_generator_rewrite(self, word, max_n):
+        tables = words._PrimeMaps.from_word(word, max_n).tables
+        assert tables == per_generator_tables(triples(word), max_n)
+
+    @given(wide_word_strategy, st.integers(min_value=0, max_value=12))
+    @settings(max_examples=200, deadline=None)
+    def test_tabulate_matches_per_generator_rewrite(self, word, max_level):
+        primes = sorted(word.primes() | {2, 13})
+        expected = per_generator_tables(
+            triples(word), 1, {p: list(range(max_level + 1)) for p in primes}
+        )
+        assert words._PrimeMaps.tabulate(word, primes, max_level) == expected
 
 
 class TestEqualUpto:
