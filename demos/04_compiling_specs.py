@@ -50,7 +50,8 @@ for p, fn in recovered.functions.items():
     print(f"  prime {p}: observed exponents {fn.values}")
 print()
 
-print("compiled words pass single-orbit membership probes, as they must:")
+print("compiled words pass single-orbit membership probes, as they must;")
+print("a word's exponent tables settle it for every k, a plain callable is probed:")
 f = result.word.as_map()
 print("  constant word:", membership_test(f, 24, 200).describe())
 print("  target map   :", membership_test(lambda n: apply_spec(constant, n), 24, 200).describe())

@@ -75,6 +75,9 @@ def parse_map(text: str) -> Callable[[int], int]:
     so the consumers take their values on 1..max_n in one pass. `nn` and
     `pow:B` carry a residue path too, so consumers that read only f(n) mod M
     (the membership probes, the preimage structure) never build the powers.
+    `gen:`, `word:` and `spec:` maps carry their exponent tables as well,
+    from which those consumers and the divisibility laws answer when the
+    tables serve (see dynzeta.exponents).
     """
     name, _, rest = text.partition(":")
     if name == "identity":

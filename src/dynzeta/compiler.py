@@ -96,7 +96,8 @@ def compile_spec(spec: ExponentSpec) -> CompileResult:
         # the bump levels of block_gadget(p, t, fn.value(t)), t descending;
         # validity puts each target at or above t
         levels = [level for t in range(top, -1, -1) for level in range(t, fn.value(t))]
-        parts.append((p, tuple(levels), cap))
+        if levels or cap is not None:  # a normal form has no empty part
+            parts.append((p, tuple(levels), cap))
     return CompileResult(_normal_word(tuple(parts)), agreement)
 
 

@@ -18,26 +18,46 @@ respectively up to the eventual value for bounded ones.
 
 A spec evaluates a whole range 1..N through the same per-prime value as a
 word (`words._PrimeMaps`), with its exponent functions as the tables.
+
 The map consumers here (membership probes, preimage structure, the
-divisibility laws), like series.time_change_fix, take a map's values on
-1..N once: in one range pass for word, spec and generator maps, and one
-call per n for any other callable. The membership probes and the preimage
-structure read only f(n) modulo a small M, so they ask for residues
-(series._map_residues): a map with a residue path, such as the CLI's `nn`
-and `pow:B`, computes them without its full values, and any other map's
-values are taken once and reduced.
+divisibility laws) first ask a map for those tables (series._RangeMap's
+table path, which word, spec and generator maps carry). When every table
+covers its prime's exponents on 1..N (no unbounded spec table ends short)
+and is non-decreasing, f(n) = prod_p p**phi_p(v_p(n)) on 1..N with every
+phi_p non-decreasing (the identity off the tables), and the consumers
+answer from the tables alone, whatever the size of N:
+
+    divisibility laws: all three hold (check_divisibility_properties);
+    preimage of the multiples of k: the multiples of one step read off
+        the tables, or empty (preimage_structure);
+    membership probes: when each table is moreover constant from its first
+        entry below its index on, f agrees on 1..N with a word, so no probe
+        fails, for any orbit length (membership_test).
+
+The tables never refute. Every other map (plain callables, the power maps,
+short or non-monotone spec tables) takes the value path, unchanged, so its
+errors, witnesses and counterexamples come from its values. That path,
+like series.time_change_fix, takes a map's values on 1..N once: in one
+range pass where the map has one, and one call per n for a plain
+callable. The membership probes and the preimage structure read only f(n)
+modulo a small M, so they ask for residues (series._map_residues): a map
+with a residue path, such as the CLI's `nn` and `pow:B`, computes them
+without its full values, and any other map's values are taken once and
+reduced.
 
 Membership testing is one-sided: a single-orbit time change that fails the
 realizability check refutes membership conclusively, while passing every
-probe proves nothing. The API therefore never answers "is a member". The
-probes are linear in the indicator of k | f(n), so the probes of a block of
-orbit lengths run as one Moebius transform of integers packing one lane per
-length, and the lanes are read in order of k.
+probe says nothing about f beyond 1..N, and, off the table path, nothing
+about the orbit lengths not probed. The API therefore never answers "is a
+member". The probes are linear in the indicator of k | f(n), so the probes
+of a block of orbit lengths run as one Moebius transform of integers
+packing one lane per length, and the lanes are read in order of k.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from math import gcd, lcm
 from typing import Callable, Iterator, Mapping
 
@@ -224,8 +244,26 @@ def _spec_values(spec: ExponentSpec, max_n: int) -> Iterator[int]:
 
 
 def _spec_map(spec: ExponentSpec) -> Callable[[int], int]:
-    """The map a spec describes, with the range path of _spec_values."""
-    return _RangeMap(lambda n: apply_spec(spec, n), lambda max_n: _spec_values(spec, max_n))
+    """The map a spec describes, with the range path of _spec_values and
+    the table path of _PrimeMaps.from_spec."""
+    return _RangeMap(lambda n: apply_spec(spec, n), lambda max_n: _spec_values(spec, max_n),
+                     tables=lambda max_n: _PrimeMaps.from_spec(spec, max_n))
+
+
+def _tables(f: Callable[[int], int], max_n: int) -> dict[int, list[int]] | None:
+    """f's exponent tables {p: table} on 1..max_n, when f carries them (word,
+    spec and generator maps), every table covers the exponents v with
+    p**v <= max_n (no unbounded spec table ends short) and every table is
+    non-decreasing; else None, and the consumer reads f's values."""
+    if not isinstance(f, _RangeMap) or f.tables is None:
+        return None
+    maps = f.tables(max_n)
+    for p, table in maps.tables.items():
+        if len(table) < _PrimeMaps._length(p, max_n) or any(
+            a > b for a, b in zip(table, table[1:])
+        ):
+            return None
+    return maps.tables
 
 
 def spec_from_word(word: Word, max_prime: int, max_level: int) -> ExponentSpec:
@@ -276,16 +314,44 @@ class PreimageStructure:
 def preimage_structure(f: Callable[[int], int], k: int, max_n: int) -> PreimageStructure:
     """Classify the preimage of the multiples of k under f, up to max_n.
 
-    Only f(n) mod k is read, through series._map_residues: the CLI's power
-    maps compute it with pow(n, e, k) and never build their values; any
-    other map's values are taken once, in one pass for word, spec and
-    generator maps, and used as they come, with no validation: only
-    `m % k` is asked of them.
+    A map whose tables serve (see _tables) is answered from them. Write
+    q**e for each prime power exactly dividing k. Then k | f(n) exactly when
+    phi_q(v_q(n)) >= e for each of them, and as phi_q is non-decreasing,
+    exactly when v_q(n) >= t_q, the first index of q's table holding e or
+    more (t_q = e for a prime without a table). So the preimage on 1..max_n
+    is the multiples of step = prod q**t_q: empty when step > max_n (as
+    when some t_q runs past its table), else its first point is step, a
+    violation at step when step does not divide k, and the progression of
+    step otherwise.
+
+    Any other map is read through f(n) mod k alone, by
+    series._map_residues: the CLI's power maps compute it with pow(n, e, k)
+    and never build their values; any other map's values are taken once,
+    in one range pass where the map has one, and used as they come, with
+    no validation: only `m % k` is asked of them.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if max_n < k:
         raise ValueError(f"max_n = {max_n} must be at least k = {k}")
+    tables = _tables(f, max_n)
+    if tables is not None:
+        step, rest = 1, k  # rest keeps the primes of k without a table
+        for q, table in tables.items():
+            e = 0
+            while rest % q == 0:
+                rest //= q
+                e += 1
+            if e:
+                # t == len(table) when no q**v <= max_n reaches e, and then
+                # q**t > max_n
+                step *= q ** bisect_left(table, e)
+        step *= rest
+        if step > max_n:
+            return PreimageStructure.empty(k, max_n)
+        if k % step:
+            return PreimageStructure.violation(k, max_n, step)
+        return PreimageStructure.progression(k, max_n, step)
     residues = _map_residues(f, max_n, k, None)
     try:
         step = residues.index(0) + 1
@@ -313,12 +379,19 @@ class MembershipReport:
     """Result of probing a map with single orbits of every length <= max_k.
 
     A witness conclusively refutes membership in the time-change monoid. No
-    witness means exactly that: nothing was found at this precision.
+    witness means exactly that: nothing was found at this precision. With a
+    certificate it means more: no orbit length of any size fails on
+    1..max_n. The certificate is f's exponent spec on 1..max_n, in the
+    unbounded shape (as spec_from_word's): read as bounded, each function
+    is valid, and compile_spec turns it into a word that agrees with f on
+    1..max_n. It backs the verdict and is not part of it, so two reports
+    with the same verdict compare equal.
     """
 
     max_k: int
     max_n: int
     witness: MembershipWitness | None = None
+    certificate: ExponentSpec | None = field(default=None, compare=False)
 
     @property
     def refuted(self) -> bool:
@@ -326,6 +399,8 @@ class MembershipReport:
 
     def describe(self) -> str:
         if self.witness is None:
+            if self.certificate is not None:
+                return f"no violation for any k on 1..{self.max_n}"
             return f"no violation up to k={self.max_k}, n={self.max_n} (inconclusive)"
         w = self.witness
         return f"refuted by orbit length k={w.k}: {w.verdict.describe()}"
@@ -341,17 +416,32 @@ def membership_test(f: Callable[[int], int], max_k: int, max_n: int) -> Membersh
     k | f(n); the smallest k whose probe fails realizability is returned,
     with the verdict check_realizable gives that probe.
 
+    A map whose tables serve (see _tables) and are each constant from their
+    first entry below their index on needs no probe. Read as a bounded
+    function, such a table is valid. It is non-decreasing, and a bounded
+    function owes d(i) >= i only up to its eventual value c. That holds
+    before the first entry below its index, and that entry is c itself, at
+    an index above c. So compile_spec makes a word equal to f on 1..max_n.
+    A word preserves realizability, and a probe reads f on 1..max_n alone,
+    so every probe of every orbit length passes: the report carries the
+    tables as its certificate. Tables of any other shape prove nothing
+    either way, and the probes run.
+
     The probes read only f(n) mod M, where M is the lcm of the probed
     lengths, so the power maps of the CLI give residues without building
-    their values, and any other map's values are taken once (in one pass
-    for word, spec and generator maps) and reduced, not at all when M
-    exceeds every value. The probes of one block of up to 32 consecutive
+    their values, and any other map's values are taken once (in one range
+    pass where the map has one) and reduced, not at all when M exceeds
+    every value. The probes of one block of up to 32 consecutive
     lengths share one Moebius transform (see _probe_block). Blocks run in
     order of k, each with its own M, and stop at the first that fails, so
     a huge max_k builds no lcm(1..max_k).
     """
     if max_k < 1 or max_n < 1:
         raise ValueError("max_k and max_n must be >= 1")
+    tables = _tables(f, max_n)
+    if tables is not None and all(map(_settles, tables.values())):
+        certificate = {p: ExponentFunction.unbounded(table) for p, table in tables.items()}
+        return MembershipReport(max_k, max_n, certificate=ExponentSpec(certificate))
     if isinstance(f, _RangeMap) and f.residues is not None:
         def residues(modulus):
             return _map_residues(f, max_n, modulus)
@@ -369,6 +459,13 @@ def membership_test(f: Callable[[int], int], max_k: int, max_n: int) -> Membersh
         if witness is not None:
             return MembershipReport(max_k, max_n, witness)
     return MembershipReport(max_k, max_n)
+
+
+def _settles(table: list[int]) -> bool:
+    """Whether a non-decreasing table is constant from its first entry below
+    its index on."""
+    low = next((v for v, d in enumerate(table) if d < v), None)
+    return low is None or table[-1] == table[low]
 
 
 def _probe_block(ks: range, modulus: int, residues: list[int],
@@ -438,13 +535,27 @@ class DivisibilityReport:
 def check_divisibility_properties(f: Callable[[int], int], max_n: int) -> DivisibilityReport:
     """Exhaustively test the three divisibility laws on 1..max_n.
 
-    The values f(1..max_n) are taken once, in one pass for word, spec and
-    generator maps. prime_support strips the primes of n from f(n) by
-    repeated gcd and tests that the rest divides f(1); only the first value
-    that fails is factorized, to name its smallest offending prime.
+    A map whose tables serve (see _tables) obeys all three, as f(n) =
+    prod_p p**phi_p(v_p(n)) there with every phi_p non-decreasing:
+
+      divides:       m | n gives v_p(m) <= v_p(n), so phi_p(v_p(m)) <=
+                     phi_p(v_p(n)) at every p;
+      coprime_lcm:   with gcd(m, n) = 1, v_p(mn) = max(v_p(m), v_p(n)) at
+                     every p, and phi_p of a max is the max of the phi_p;
+      prime_support: a prime q not dividing n has v_q(f(n)) = phi_q(0) =
+                     v_q(f(1)).
+
+    For any other map the values f(1..max_n) are taken once, in one range
+    pass where the map has one. prime_support strips the primes of n from
+    f(n) by repeated gcd and tests that the rest divides f(1); only the
+    first value that fails is factorized, to name its smallest offending
+    prime.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
+    if _tables(f, max_n) is not None:
+        holds = ClaimResult(True)
+        return DivisibilityReport(max_n, holds, holds, holds)
     values = [0, *_map_values(f, max_n)]  # 1-based
 
     # walk the multiples n of each m; the first failure is the smallest n,

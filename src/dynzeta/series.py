@@ -25,9 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .sequences import RealizabilityVerdict, check_realizable
+
+if TYPE_CHECKING:  # words imports this module
+    from .words import _PrimeMaps
 
 __all__ = [
     "Series",
@@ -280,15 +283,19 @@ class _RangeMap:
     its values on 1..max_n, computed in one pass, and raises only after the
     values before the first n it cannot map. Calling it maps one n. The
     optional residue path `residues(max_n, modulus)` lists f(1..max_n) mod
-    modulus without building the values."""
+    modulus without building the values. The optional table path
+    `tables(max_n)` gives a map that acts prime by prime (a word or a spec)
+    as its words._PrimeMaps on 1..max_n, without any value."""
 
-    __slots__ = ("point", "values", "residues")
+    __slots__ = ("point", "values", "residues", "tables")
 
     def __init__(self, point: Callable[[int], int], values: Callable[[int], Iterable[int]],
-                 residues: Callable[[int, int], list[int]] | None = None):
+                 residues: Callable[[int, int], list[int]] | None = None,
+                 tables: Callable[[int], _PrimeMaps] | None = None):
         self.point = point
         self.values = values
         self.residues = residues
+        self.tables = tables
 
     def __call__(self, n: int) -> int:
         return self.point(n)

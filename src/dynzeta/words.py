@@ -17,7 +17,10 @@ at most one cap), and each value is built from the parts one way: a word's
 exponent tables (_PrimeMaps, which exponent specs build as well) are
 identity tables rewritten by them (_part_table), and a form's word,
 compile_spec's too, is them assembled bumps first, then caps (_normal_word).
-Range evaluation, prefix equality and the compile check read the tables.
+A word folds its parts once and keeps them (Word._parts); a word assembled
+from parts starts with them. Range evaluation, prefix equality and the
+compile check read the tables, and so do the membership, preimage and
+divisibility consumers of exponents, through Word.as_map's table path.
 Equality is still only tested on a prefix 1..N, and a disagreement is
 returned as the smallest witness.
 
@@ -36,7 +39,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .arith import is_prime, primes_up_to
@@ -142,10 +145,17 @@ class Word:
     def primes(self) -> set[int]:
         return {g.prime for g in self.gens}
 
+    @cached_property
+    def _parts(self) -> _Parts:
+        """The parts of the word's normal form, folded once per word (not a
+        field: equality and hash read gens alone)."""
+        return _word_parts(self)
+
     def as_map(self) -> Callable[[int], int]:
         """The word as a map; consumers that need 1..max_n take the values
-        in one eval_range pass."""
-        return _RangeMap(lambda n: eval_word(self, n), lambda max_n: eval_range(self, max_n))
+        in one eval_range pass, or read its exponent tables on 1..max_n."""
+        return _RangeMap(lambda n: eval_word(self, n), lambda max_n: eval_range(self, max_n),
+                         tables=lambda max_n: _PrimeMaps.from_word(self, max_n))
 
     def __repr__(self):
         return "Word[" + " ".join(repr(g) for g in self.gens) + "]"
@@ -213,14 +223,14 @@ class _PrimeMaps(NamedTuple):
         word's normal form."""
         length = cls._length
         return cls({p: _part_table(list(range(length(p, max_n))), levels, cap)
-                    for p, levels, cap in _word_parts(word)}, max_n)
+                    for p, levels, cap in word._parts}, max_n)
 
     @staticmethod
     def tabulate(word: Word, primes: Sequence[int], max_level: int) -> dict[int, list[int]]:
         """The word's table of each of primes on exponents 0..max_level: the
         one coverage that is not a prefix 1..N (spec_from_word's). primes
         hold every prime the word touches."""
-        parts = {p: (levels, cap) for p, levels, cap in _word_parts(word)}
+        parts = {p: (levels, cap) for p, levels, cap in word._parts}
         return {p: _part_table(list(range(max_level + 1)), *parts.get(p, ((), None)))
                 for p in primes}
 
@@ -345,15 +355,19 @@ def _normal_parts(gens: Iterable[tuple[str, int, int]]) -> _Parts:
 
 
 def _word_parts(word: Word) -> _Parts:
-    """The parts of the word's normal form."""
+    """The parts of the word's normal form, folded from its generators
+    (Word._parts keeps them)."""
     return _normal_parts([(g.kind, g.prime, g.level) for g in word.gens])
 
 
 def _normal_word(parts: _Parts) -> Word:
-    """The bumps-then-caps word of a normal form's parts."""
+    """The bumps-then-caps word of a normal form's parts, which are its own:
+    folding it gives them back, so they seed its Word._parts."""
     gens = [_generator(BUMP, p, t) for p, levels, _ in parts for t in levels]
     gens += [_generator(CAP, p, cap) for p, _, cap in parts if cap is not None]
-    return Word(tuple(gens))
+    word = Word(tuple(gens))
+    vars(word)["_parts"] = parts  # where cached_property keeps its value
+    return word
 
 
 def normal_form(word: Word) -> Word:
@@ -368,7 +382,7 @@ def normal_form(word: Word) -> Word:
     The result is semantically equal to the input; equality of distinct
     normal forms is still possible and must be tested by evaluation.
     """
-    return _normal_word(_word_parts(word))
+    return _normal_word(word._parts)
 
 
 def is_normal_shape(word: Word) -> bool:

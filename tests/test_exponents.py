@@ -1,12 +1,17 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import dynzeta.exponents as exponents
+from dynzeta.cli import parse_map
+from dynzeta.compiler import compile_spec
 from dynzeta.exponents import (
     ExponentFunction,
     ExponentSpec,
+    PreimageStructure,
     TableRangeError,
+    _spec_map,
     apply_spec,
     check_divisibility_properties,
     membership_test,
@@ -18,7 +23,13 @@ from dynzeta.sequences import DOLD, SIGN, RealizabilityVerdict
 from dynzeta.arith import valuation
 from dynzeta.words import Generator, Word, eval_generator, eval_range, eval_word, random_word
 
-from oracles import divisibility_counterexamples, random_valid_spec_tables
+from oracles import (
+    divisibility_counterexamples,
+    pointwise_membership,
+    pointwise_preimage,
+    pointwise_values,
+    random_valid_spec_tables,
+)
 
 B, C = Generator.bump, Generator.cap
 
@@ -335,3 +346,142 @@ class TestValidSpecsBehaveLikeMembers:
             assert check_divisibility_properties(f, 60).all_hold
             assert not membership_test(f, 24, 200).refuted
             built += 1
+
+
+# -- the table path ---------------------------------------------------------
+
+# primes above every max_n tested among them, and the empty word
+TABLE_PRIMES = (2, 3, 5, 7, 11, 101, 10007)
+table_word_maps = st.builds(
+    Word,
+    st.lists(
+        st.builds(Generator, st.sampled_from("gh"), st.sampled_from(TABLE_PRIMES),
+                  st.integers(0, 6)),
+        max_size=10,
+    ).map(tuple),
+).map(Word.as_map)
+# valid specs, and raw tables: invalid, non-monotone, sorted, and unbounded
+# ones that end short of max_n
+raw_function = st.builds(
+    lambda shape, values, ordered: ExponentFunction(shape, sorted(values) if ordered else values),
+    st.sampled_from(["bounded", "unbounded"]),
+    st.lists(st.integers(0, 8), min_size=1, max_size=8),
+    st.booleans(),
+)
+table_spec_maps = st.one_of(
+    st.integers(0, 10**6).map(
+        lambda seed: build_spec(
+            random_valid_spec_tables(random.Random(seed), TABLE_PRIMES, max_len=8)
+        )
+    ),
+    st.dictionaries(st.sampled_from(TABLE_PRIMES), raw_function, max_size=3).map(ExponentSpec),
+).map(_spec_map)
+
+
+def outcome(thunk):
+    """("ok", result) or ("raised", exception class, message)."""
+    try:
+        return "ok", thunk()
+    except ValueError as err:
+        return "raised", type(err), str(err)
+
+
+def preimage_tuple(s):
+    return s.outcome, s.step, s.witness
+
+
+def membership_tuple(report):
+    w = report.witness
+    return None if w is None else (w.k, w.verdict.failure, w.verdict.index, w.verdict.value)
+
+
+def divisibility_dict(report):
+    return {
+        "divides": report.divides.counterexample,
+        "coprime_lcm": report.coprime_lcm.counterexample,
+        "prime_support": report.prime_support.counterexample,
+    }
+
+
+class TestTablePath:
+    """Word, spec and generator maps answer from their exponent tables when
+    these cover 1..max_n and are non-decreasing. Each answer is checked
+    against the per-n oracles and against the value path, both on a plain
+    callable of the same map, errors included."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(st.one_of(table_word_maps, table_spec_maps), st.integers(1, 150),
+           st.one_of(st.integers(1, 40), st.sampled_from([101, 202, 10007])), st.integers(1, 40))
+    def test_against_the_value_path_and_the_oracles(self, f, max_n, k, max_k):
+        plain = lambda n: f(n)
+
+        got = outcome(lambda: preimage_structure(f, k, max_n))
+        assert got == outcome(lambda: preimage_structure(plain, k, max_n))
+        if k <= max_n:
+            assert outcome(lambda: preimage_tuple(preimage_structure(f, k, max_n))) == outcome(
+                lambda: pointwise_preimage(plain, k, max_n)
+            )
+
+        got = outcome(lambda: membership_test(f, max_k, max_n))
+        assert got == outcome(lambda: membership_test(plain, max_k, max_n))
+        assert outcome(lambda: membership_tuple(membership_test(f, max_k, max_n))) == outcome(
+            lambda: pointwise_membership(plain, max_k, max_n)
+        )
+        if got[0] == "ok" and got[1].certificate is not None:
+            # read as bounded, the certificate compiles to a word equal to f on 1..max_n
+            bounded = {p: ExponentFunction.bounded(fn.values)
+                       for p, fn in got[1].certificate.functions.items()}
+            word = compile_spec(ExponentSpec(bounded)).word
+            assert eval_range(word, max_n) == pointwise_values(plain, max_n)
+
+        got = outcome(lambda: divisibility_dict(check_divisibility_properties(f, max_n)))
+        assert got == outcome(
+            lambda: divisibility_dict(check_divisibility_properties(plain, max_n))
+        )
+        assert got == outcome(lambda: divisibility_counterexamples(pointwise_values(plain, max_n)))
+
+    def test_no_value_is_read(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("read the map's values")
+
+        monkeypatch.setattr(exponents, "_map_values", refuse)
+        monkeypatch.setattr(exponents, "_map_residues", refuse)
+        maps = [random_word(seed, seed % 15, 13, 4).as_map() for seed in range(20)]
+        maps += [Word().as_map(), parse_map("gen:h:3:1"), _spec_map(CONSTANT2), _spec_map(SQUARING)]
+        for f in maps:
+            assert membership_test(f, 24, 31).certificate is not None
+            assert check_divisibility_properties(f, 31).all_hold
+            for k in range(1, 32):
+                assert preimage_tuple(preimage_structure(f, k, 31)) == pointwise_preimage(f, k, 31)
+
+    def test_generator_maps_answer_at_a_trillion(self):
+        big = 10**12
+        got = preimage_structure(parse_map("gen:g:2:1"), 4, big)
+        assert got == PreimageStructure.progression(4, big, 2)
+        assert check_divisibility_properties(parse_map("gen:h:3:1"), big).all_hold
+        report = membership_test(parse_map("gen:g:2:0"), 24, big)
+        assert not report.refuted and report.certificate is not None
+
+    def test_certificate_holds_the_tables(self):
+        report = membership_test(Word((B(2, 0),)).as_map(), 20, 200)
+        # 2**7 <= 200 < 2**8; the bump sends exponent 0 to 1
+        tables = {2: ExponentFunction.unbounded([1, 1, 2, 3, 4, 5, 6, 7])}
+        assert report.certificate == ExponentSpec(tables)
+        assert report.describe() == "no violation for any k on 1..200"
+        # a certificate backs the verdict and is not part of it
+        assert report == membership_test(lambda n: eval_generator(B(2, 0), n), 20, 200)
+
+    def test_preimage_violation_from_the_tables(self):
+        # 2 | f(n) from v_2(n) = 2 on: step 4 does not divide k = 2
+        f = _spec_map(build_spec({2: ("bounded", [0, 0, 1])}))
+        got = preimage_structure(f, 2, 64)
+        assert got == PreimageStructure.violation(2, 64, 4)
+        assert preimage_tuple(got) == pointwise_preimage(lambda n: f(n), 2, 64)
+
+    def test_no_certificate_without_the_shape(self):
+        # non-decreasing, but it rises again after dropping below its index
+        f = _spec_map(build_spec({2: ("bounded", [0, 0, 1])}))
+        report = membership_test(f, 24, 64)
+        assert report.certificate is None
+        assert report == membership_test(lambda n: f(n), 24, 64)
+        assert membership_test(lambda n: n, 5, 50).certificate is None

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,7 +23,12 @@ from dynzeta.words import (
     random_word,
 )
 
-from oracles import generator_pass_eval_range, per_generator_tables, scan_equal_upto
+from oracles import (
+    generator_pass_eval_range,
+    per_generator_tables,
+    random_valid_spec_tables,
+    scan_equal_upto,
+)
 
 B, C = Generator.bump, Generator.cap
 
@@ -225,6 +231,53 @@ class TestPrimeMapTables:
             triples(word), 1, {p: list(range(max_level + 1)) for p in primes}
         )
         assert words._PrimeMaps.tabulate(word, primes, max_level) == expected
+
+
+class TestPartsCache:
+    # Word._parts folds a word once; _normal_word seeds it with the parts it
+    # builds from, which must be the fold of the word it builds
+
+    @given(wide_word_strategy)
+    @settings(max_examples=200, deadline=None)
+    def test_cache_is_the_fold(self, word):
+        assert word._parts == words._word_parts(word)
+        reduced = normal_form(word)
+        assert "_parts" in vars(reduced)
+        assert reduced._parts == words._word_parts(reduced) == word._parts
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_compiled_words_are_seeded_with_their_fold(self, seed):
+        tables = random_valid_spec_tables(random.Random(seed), (2, 3, 5, 7, 10007), max_len=7)
+        spec = {p: ExponentFunction(shape, values) for p, (shape, values) in tables.items()}
+        word = compile_spec(ExponentSpec(spec)).word
+        assert "_parts" in vars(word)
+        assert word._parts == words._word_parts(word)
+
+    def test_relation_search_words_are_seeded_with_their_fold(self):
+        pairs = words._coincidences(5, 60, 10, 2, 5, 1)
+        assert pairs
+        for word in {w for pair in pairs for w in pair}:
+            assert "_parts" in vars(word)
+            assert word._parts == words._word_parts(word)
+
+    def test_each_word_is_folded_once(self, monkeypatch):
+        calls = []
+        fold = words._word_parts
+        monkeypatch.setattr(words, "_word_parts", lambda word: calls.append(word) or fold(word))
+        word = Word((B(2, 0), C(2, 1), B(3, 2), C(2, 0)))
+        for max_n in (10, 100, 1000):
+            eval_range(word, max_n)
+            equal_upto(word, word, max_n)
+        normal_form(word)
+        assert calls == [word]
+
+    def test_cache_is_not_a_field(self):
+        word, twin = Word((B(2, 0), C(3, 1))), Word((B(2, 0), C(3, 1)))
+        assert word._parts == ((2, (0,), None), (3, (), 1))
+        assert "_parts" not in vars(twin)
+        assert word == twin and hash(word) == hash(twin)
+        assert repr(word) == repr(twin) == "Word[g(2,0) h(3,1)]"
 
 
 class TestEqualUpto:
