@@ -71,13 +71,13 @@ def _load_json(path: str):
 def parse_map(text: str) -> Callable[[int], int]:
     """Resolve a map name to a callable on the positive integers.
 
-    `gen:`, `word:`, `spec:`, `nn` and `pow:B` maps also carry a range path,
-    so the consumers take their values on 1..max_n in one pass. `nn` and
-    `pow:B` carry a residue path too, so consumers that read only f(n) mod M
-    (the membership probes, the preimage structure) never build the powers.
-    `gen:`, `word:` and `spec:` maps carry their exponent tables as well,
-    from which those consumers and the divisibility laws answer when the
-    tables serve (see dynzeta.exponents).
+    Beside its point rule a map has at most one fast path. `gen:`, `word:`
+    and `spec:` maps carry their exponent tables: consumers take their
+    values on 1..max_n from them in one pass, and the membership probes,
+    the preimage structure and the divisibility laws answer from them alone
+    when the tables serve (see dynzeta.exponents). `nn` and `pow:B` carry a
+    residue path, so consumers that read only f(n) mod M (the membership
+    probes, the preimage structure) never build the powers.
     """
     name, _, rest = text.partition(":")
     if name == "identity":
@@ -89,13 +89,11 @@ def parse_map(text: str) -> Callable[[int], int]:
         b = _non_negative_int(rest, "pow exponent")
         return _RangeMap(
             lambda n: n**b,
-            lambda max_n: [n**b for n in range(1, max_n + 1)],
             lambda max_n, modulus: [pow(n, b, modulus) for n in range(1, max_n + 1)],
         )
     if name == "nn":
         return _RangeMap(
             lambda n: n**n,
-            lambda max_n: [n**n for n in range(1, max_n + 1)],
             lambda max_n, modulus: [pow(n, n, modulus) for n in range(1, max_n + 1)],
         )
     if name == "succ":

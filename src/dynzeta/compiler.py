@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import is_prime
-from .exponents import BOUNDED, ExponentSpec, SpecViolation, apply_spec, validate_spec
+from .exponents import BOUNDED, ExponentSpec, SpecViolation, _spec_tables, apply_spec, validate_spec
 from .words import Generator, Word, _normal_word, _PrimeMaps, eval_word
 
 __all__ = [
@@ -131,9 +131,7 @@ def verify_compile(result: CompileResult, spec: ExponentSpec, max_n: int) -> Mis
     if any(bound < 0 for bound in result.agreement.values()):
         return None  # no n is admitted
     word = _PrimeMaps.from_word(result.word, max_n)
-    differences = word.first_differences(_PrimeMaps.from_spec(spec, max_n))
-    candidates = [p**v for p, v in differences.items() if v <= result.agreement.get(p, v)]
-    if not candidates:
+    n = word.first_difference(_spec_tables(spec, max_n), result.agreement)
+    if n is None:
         return None
-    n = min(candidates)
     return Mismatch(n, eval_word(result.word, n), apply_spec(spec, n))

@@ -16,16 +16,20 @@ A valid spec has every exponent function non-decreasing, and bounded below
 by the identity (value >= index) on the whole table for unbounded shapes,
 respectively up to the eventual value for bounded ones.
 
-A spec evaluates a whole range 1..N through the same per-prime value as a
-word (`words._PrimeMaps`), with its exponent functions as the tables.
+This module owns that format (the shapes BOUNDED and UNBOUNDED, and the
+checks), and reads a spec on 1..N as the per-prime tables words use
+(`words._PrimeMaps`, by _spec_tables): its map's one fast path, which
+compiler.verify_compile also compares with a word's.
 
-The map consumers here (membership probes, preimage structure, the
-divisibility laws) first ask a map for those tables (series._RangeMap's
-table path, which word, spec and generator maps carry). When every table
-covers its prime's exponents on 1..N (no unbounded spec table ends short)
-and is non-decreasing, f(n) = prod_p p**phi_p(v_p(n)) on 1..N with every
-phi_p non-decreasing (the identity off the tables), and the consumers
-answer from the tables alone, whatever the size of N:
+Every map the library builds has its point rule and at most one fast path
+(series._RangeMap): exponent tables (word, spec and generator maps) or
+residues (the CLI's `nn` and `pow:B`). The map consumers here (membership
+probes, preimage structure, the divisibility laws) first ask a map for its
+tables. When every table covers its prime's exponents on 1..N (no
+unbounded spec table ends short) and is non-decreasing, f(n) =
+prod_p p**phi_p(v_p(n)) on 1..N with every phi_p non-decreasing (the
+identity off the tables), and the consumers answer from the tables alone,
+whatever the size of N:
 
     divisibility laws: all three hold (check_divisibility_properties);
     preimage of the multiples of k: the multiples of one step read off
@@ -35,15 +39,16 @@ answer from the tables alone, whatever the size of N:
         fails, for any orbit length (membership_test).
 
 The tables never refute. Every other map (plain callables, the power maps,
-short or non-monotone spec tables) takes the value path, unchanged, so its
-errors, witnesses and counterexamples come from its values. That path,
-like series.time_change_fix, takes a map's values on 1..N once: in one
-range pass where the map has one, and one call per n for a plain
-callable. The membership probes and the preimage structure read only f(n)
-modulo a small M, so they ask for residues (series._map_residues): a map
-with a residue path, such as the CLI's `nn` and `pow:B`, computes them
-without its full values, and any other map's values are taken once and
-reduced.
+short or non-monotone spec tables) is read through its values, so its
+errors, witnesses and counterexamples come from them. Like
+series.time_change_fix, that reading takes a map's values on 1..N once
+(series._map_values): off its tables where the map has them, by its point
+rule for the other maps the library builds, and one validated call per n
+for a plain callable. The membership probes and the preimage structure
+read only f(n) modulo a small M, so they ask for residues
+(series._map_residues): a map with a residue path computes them without
+its full values, and any other map's values are taken once and reduced
+for each M.
 
 Membership testing is one-sided: a single-orbit time change that fails the
 realizability check refutes membership conclusively, while passing every
@@ -59,12 +64,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import gcd, lcm
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Mapping
 
 from .arith import factorize, is_prime, primes_up_to
 from .sequences import DOLD, SIGN, RealizabilityVerdict, mobius_transform
 from .series import _map_residues, _map_values, _RangeMap
-from .words import BOUNDED, UNBOUNDED, Word, _check_int, _PrimeMaps
+from .words import Word, _check_int, _PrimeMaps
 
 __all__ = [
     "BOUNDED",
@@ -85,6 +90,9 @@ __all__ = [
     "DivisibilityReport",
     "check_divisibility_properties",
 ]
+
+BOUNDED = "bounded"
+UNBOUNDED = "unbounded"
 
 NON_DECREASING = "non-decreasing"
 LOWER_BOUND = "exponent-lower-bound"
@@ -229,25 +237,25 @@ def apply_spec(spec: ExponentSpec, n: int) -> int:
     return out * rest
 
 
-def _spec_values(spec: ExponentSpec, max_n: int) -> Iterator[int]:
-    """apply_spec on 1..max_n through the per-prime range kernel.
-
-    A spec prime above max_n still applies its value at exponent 0. A short
-    unbounded table first fails at n = p**(bound + 1), the smallest such
-    power: the values before it come out first, then the same
-    TableRangeError that apply_spec raises there.
-    """
-    values = _PrimeMaps.from_spec(spec, max_n).values()
-    yield from values
-    if len(values) < max_n:
-        apply_spec(spec, len(values) + 1)  # raises: a table ends there
+def _spec_tables(spec: ExponentSpec, max_n: int) -> _PrimeMaps:
+    """A spec on 1..max_n as per-prime tables: a bounded function repeats
+    its last value, and an unbounded table ends where its values do. A spec
+    prime above max_n keeps its value at exponent 0."""
+    tables = {}
+    for p, fn in spec.functions.items():
+        length = _PrimeMaps._length(p, max_n)
+        table = tables[p] = list(fn.values[:length])
+        if fn.shape == BOUNDED:
+            table += table[-1:] * (length - len(table))
+    return _PrimeMaps(tables, max_n)
 
 
 def _spec_map(spec: ExponentSpec) -> Callable[[int], int]:
-    """The map a spec describes, with the range path of _spec_values and
-    the table path of _PrimeMaps.from_spec."""
-    return _RangeMap(lambda n: apply_spec(spec, n), lambda max_n: _spec_values(spec, max_n),
-                     tables=lambda max_n: _PrimeMaps.from_spec(spec, max_n))
+    """The map a spec describes, with its tables as its fast path. A short
+    unbounded table first fails at n = p**(bound + 1), the smallest such
+    power: a range read gives the values before it, then the same
+    TableRangeError that apply_spec raises there."""
+    return _RangeMap(lambda n: apply_spec(spec, n), tables=lambda max_n: _spec_tables(spec, max_n))
 
 
 def _tables(f: Callable[[int], int], max_n: int) -> dict[int, list[int]] | None:
@@ -274,6 +282,11 @@ def spec_from_word(word: Word, max_prime: int, max_level: int) -> ExponentSpec:
     Every prime up to max_prime is tabulated for v = 0..max_level. The tables
     record observed exponents only and carry no claim about larger exponents,
     so they are stored in the unbounded (no extrapolation) shape.
+
+    The table of a word with a cap below its top level drops below its
+    index, which the unbounded shape forbids, so compile_spec rejects it
+    (InvalidSpecError). Read as bounded, the same tables compile to a word
+    equal to the input at every n whose exponents are at most max_level.
     """
     if max_level < 0:
         raise ValueError("max_level must be >= 0")
@@ -326,9 +339,9 @@ def preimage_structure(f: Callable[[int], int], k: int, max_n: int) -> PreimageS
 
     Any other map is read through f(n) mod k alone, by
     series._map_residues: the CLI's power maps compute it with pow(n, e, k)
-    and never build their values; any other map's values are taken once,
-    in one range pass where the map has one, and used as they come, with
-    no validation: only `m % k` is asked of them.
+    and never build their values; any other map's values are taken once
+    (see series._map_values) with no validation: only `m % k` is asked of
+    them.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -352,7 +365,7 @@ def preimage_structure(f: Callable[[int], int], k: int, max_n: int) -> PreimageS
         if k % step:
             return PreimageStructure.violation(k, max_n, step)
         return PreimageStructure.progression(k, max_n, step)
-    residues = _map_residues(f, max_n, k, None)
+    residues = _map_residues(f, max_n, None)(k)
     try:
         step = residues.index(0) + 1
     except ValueError:
@@ -429,12 +442,11 @@ def membership_test(f: Callable[[int], int], max_k: int, max_n: int) -> Membersh
 
     The probes read only f(n) mod M, where M is the lcm of the probed
     lengths, so the power maps of the CLI give residues without building
-    their values, and any other map's values are taken once (in one range
-    pass where the map has one) and reduced, not at all when M exceeds
-    every value. The probes of one block of up to 32 consecutive
-    lengths share one Moebius transform (see _probe_block). Blocks run in
-    order of k, each with its own M, and stop at the first that fails, so
-    a huge max_k builds no lcm(1..max_k).
+    their values, and any other map's values are taken once (see
+    series._map_values) and reduced for each M. The probes of one block of
+    up to 32 consecutive lengths share one Moebius transform (see
+    _probe_block). Blocks run in order of k, each with its own M, and stop
+    at the first that fails, so a huge max_k builds no lcm(1..max_k).
     """
     if max_k < 1 or max_n < 1:
         raise ValueError("max_k and max_n must be >= 1")
@@ -442,15 +454,7 @@ def membership_test(f: Callable[[int], int], max_k: int, max_n: int) -> Membersh
     if tables is not None and all(map(_settles, tables.values())):
         certificate = {p: ExponentFunction.unbounded(table) for p, table in tables.items()}
         return MembershipReport(max_k, max_n, certificate=ExponentSpec(certificate))
-    if isinstance(f, _RangeMap) and f.residues is not None:
-        def residues(modulus):
-            return _map_residues(f, max_n, modulus)
-    else:
-        values = list(_map_values(f, max_n))
-        top = max(values)
-
-        def residues(modulus):
-            return values if modulus > top else [m % modulus for m in values]
+    residues = _map_residues(f, max_n)
     width = max_n.bit_length() + 2
     for start in range(1, max_k + 1, _LANES):
         ks = range(start, min(start + _LANES, max_k + 1))
@@ -545,8 +549,8 @@ def check_divisibility_properties(f: Callable[[int], int], max_n: int) -> Divisi
       prime_support: a prime q not dividing n has v_q(f(n)) = phi_q(0) =
                      v_q(f(1)).
 
-    For any other map the values f(1..max_n) are taken once, in one range
-    pass where the map has one. prime_support strips the primes of n from
+    For any other map the values f(1..max_n) are taken once (see
+    series._map_values). prime_support strips the primes of n from
     f(n) by repeated gcd and tests that the rest divides f(1); only the
     first value that fails is factorized, to name its smallest offending
     prime.

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .sequences import RealizabilityVerdict, check_realizable
 
@@ -61,9 +61,15 @@ class Series:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if len(self.coeffs) < 1:
+        coeffs = self.coeffs
+        if len(coeffs) < 1:
             raise ValueError("a series needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        # one scan of the types: Fraction(0.1) would store the float's binary
+        # value, and Fraction(True) would read a bool as 1
+        if any(issubclass(kind, (float, bool)) for kind in set(map(type, coeffs))):
+            i, c = next((i, c) for i, c in enumerate(coeffs) if isinstance(c, (float, bool)))
+            raise ValueError(f"series coefficient {i} is {c!r}, not an exact number")
+        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
 
     @property
     def order(self) -> int:
@@ -72,12 +78,9 @@ class Series:
     @classmethod
     def of(cls, values: Sequence, order: int | None = None) -> "Series":
         """Build a series from leading coefficients, zero-padded to order."""
-        coeffs = [Fraction(v) for v in values]
+        coeffs = list(values)
         if order is not None:
-            if order + 1 < len(coeffs):
-                coeffs = coeffs[: order + 1]
-            else:
-                coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
+            coeffs = coeffs[: order + 1] + [0] * (order + 1 - len(coeffs))
         return cls(tuple(coeffs))
 
     @classmethod
@@ -273,27 +276,28 @@ def series_mul(f: Series, g: Series) -> Series:
 
 def series_pow(f: Series, r) -> Series:
     """f**r = exp(r * log f) for an exact rational exponent; needs f_0 = 1."""
+    if isinstance(r, (float, bool)):
+        raise ValueError(f"series exponent is {r!r}, not an exact number")
     r = Fraction(r)
     logs = log_series(f)
     return exp_series(Series(tuple(r * c for c in logs.coeffs)))
 
 
 class _RangeMap:
-    """A map on n >= 1 that also has a range path: `values(max_n)` iterates
-    its values on 1..max_n, computed in one pass, and raises only after the
-    values before the first n it cannot map. Calling it maps one n. The
-    optional residue path `residues(max_n, modulus)` lists f(1..max_n) mod
-    modulus without building the values. The optional table path
-    `tables(max_n)` gives a map that acts prime by prime (a word or a spec)
-    as its words._PrimeMaps on 1..max_n, without any value."""
+    """A map on n >= 1 built by the library, with at most one fast path
+    beside its point rule `point(n)` (calling the map maps one n). A map
+    that acts prime by prime (a word or a spec) has the table path
+    `tables(max_n)`, its words._PrimeMaps on 1..max_n, from which its
+    values and its answers are read. The CLI's power maps have the residue
+    path `residues(max_n, modulus)`, which lists f(1..max_n) mod modulus
+    without building the powers."""
 
-    __slots__ = ("point", "values", "residues", "tables")
+    __slots__ = ("point", "residues", "tables")
 
-    def __init__(self, point: Callable[[int], int], values: Callable[[int], Iterable[int]],
+    def __init__(self, point: Callable[[int], int],
                  residues: Callable[[int, int], list[int]] | None = None,
                  tables: Callable[[int], _PrimeMaps] | None = None):
         self.point = point
-        self.values = values
         self.residues = residues
         self.tables = tables
 
@@ -308,15 +312,20 @@ def _map_values(f: Callable[[int], int], max_n: int,
                 invalid: str | None = _INVALID_VALUE) -> Iterator[int]:
     """f(1), ..., f(max_n) in order, each taken once.
 
-    A map with a range path (word, spec and generator maps, and the CLI's
-    power maps) gives them in one pass. A plain callable is called per n,
-    and unless `invalid` is None each value must be an int >= 1 and not a
-    bool, else ValueError(invalid.format(n=n, m=m)) at the first bad n.
-    Either way nothing after the first failing n is produced, so a consumer
-    sees values and errors in the order of n.
+    A map built by the library gives those its tables cover in one pass of
+    their kernel, and the rest by its point rule: all of them for a map
+    without tables, none for a word, and for a spec whose unbounded table
+    ends short, the first point that table misses, where apply_spec
+    raises. A plain callable is called per n, and unless `invalid` is None
+    each value must be an int >= 1 and not a bool, else
+    ValueError(invalid.format(n=n, m=m)) at the first bad n. Either way
+    nothing after the first failing n is produced, so a consumer sees
+    values and errors in the order of n.
     """
     if isinstance(f, _RangeMap):
-        yield from f.values(max_n)
+        values = f.tables(max_n).values() if f.tables is not None else []
+        yield from values
+        yield from map(f.point, range(len(values) + 1, max_n + 1))
         return
     for n in range(1, max_n + 1):
         m = f(n)
@@ -327,26 +336,27 @@ def _map_values(f: Callable[[int], int], max_n: int,
         yield m
 
 
-def _map_residues(f: Callable[[int], int], max_n: int, modulus: int,
-                  invalid: str | None = _INVALID_VALUE) -> list[int]:
-    """[f(1) % modulus, ..., f(max_n) % modulus].
+def _map_residues(f: Callable[[int], int], max_n: int,
+                  invalid: str | None = _INVALID_VALUE) -> Callable[[int], list[int]]:
+    """modulus -> [f(1) % modulus, ..., f(max_n) % modulus].
 
-    A map with a residue path (the CLI's power maps) answers without
-    building its values. Any other map's values are taken once through
-    _map_values, validated there unless `invalid` is None, and reduced as
-    they come, so errors still surface in the order of n.
+    A map with a residue path (the CLI's power maps) answers each modulus
+    without building its values. Any other map's values are taken once,
+    here, through _map_values (validated there unless `invalid` is None,
+    so errors surface in the order of n), and reduced for each modulus.
     """
     if isinstance(f, _RangeMap) and f.residues is not None:
-        return f.residues(max_n, modulus)
-    return [m % modulus for m in _map_values(f, max_n, invalid)]
+        return lambda modulus: f.residues(max_n, modulus)
+    values = list(_map_values(f, max_n, invalid))
+    return lambda modulus: [m % modulus for m in values]
 
 
 def time_change_fix(h: Callable[[int], int], source: FixSource, length: int) -> list[int]:
     """Prefix of the time-changed counts: entry n is a_{h(n)}.
 
-    The values of h are taken once through the range path when h has one.
-    Counts are read in the order of n, so a failing source lookup is
-    reported before a map error at a larger n.
+    The values of h are taken once, through its exponent tables when it has
+    them (see _map_values). Counts are read in the order of n, so a failing
+    source lookup is reported before a map error at a larger n.
     """
     if length < 1:
         raise ValueError("length must be >= 1")

@@ -14,15 +14,17 @@ A word therefore acts prime by prime: the generators of prime p send v_p(n)
 through a map on exponents that ignores every other prime. Its normal form
 gives that map as one part per prime (the levels of p's bumps in order, then
 at most one cap), and each value is built from the parts one way: a word's
-exponent tables (_PrimeMaps, which exponent specs build as well) are
-identity tables rewritten by them (_part_table), and a form's word,
-compile_spec's too, is them assembled bumps first, then caps (_normal_word).
-A word folds its parts once and keeps them (Word._parts); a word assembled
-from parts starts with them. Range evaluation, prefix equality and the
-compile check read the tables, and so do the membership, preimage and
-divisibility consumers of exponents, through Word.as_map's table path.
-Equality is still only tested on a prefix 1..N, and a disagreement is
-returned as the smallest witness.
+exponent tables (_PrimeMaps) are identity tables rewritten by them
+(_part_table), and a form's word, compile_spec's too, is them assembled
+bumps first, then caps (_normal_word). A word folds its parts once and
+keeps them (Word._parts); a word assembled from parts starts with them.
+
+_PrimeMaps is the per-prime value that words and exponent specs share (a
+spec's tables are read by exponents, which owns the spec format). Range
+evaluation, prefix equality and the compile check read the tables, and so
+do the consumers of a word's map: its tables are its one fast path
+(Word.as_map). Equality is still only tested on a prefix 1..N, and a
+disagreement is returned as the smallest witness (first_difference).
 
 Every generator built is checked: the internal paths build theirs through
 _generator, which checks each distinct generator once and shares it.
@@ -40,7 +42,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .arith import is_prime, primes_up_to
 from .series import _RangeMap
@@ -62,11 +64,6 @@ __all__ = [
 
 BUMP = "g"
 CAP = "h"
-
-# the shapes of an exponent function, exported by exponents; here because
-# _PrimeMaps.from_spec reads them
-BOUNDED = "bounded"
-UNBOUNDED = "unbounded"
 
 
 def _check_int(value, field: str) -> None:
@@ -152,9 +149,9 @@ class Word:
         return _word_parts(self)
 
     def as_map(self) -> Callable[[int], int]:
-        """The word as a map; consumers that need 1..max_n take the values
-        in one eval_range pass, or read its exponent tables on 1..max_n."""
-        return _RangeMap(lambda n: eval_word(self, n), lambda max_n: eval_range(self, max_n),
+        """The word as a map; consumers that need 1..max_n read its exponent
+        tables on 1..max_n, its values included."""
+        return _RangeMap(lambda n: eval_word(self, n),
                          tables=lambda max_n: _PrimeMaps.from_word(self, max_n))
 
     def __repr__(self):
@@ -197,9 +194,10 @@ class _PrimeMaps(NamedTuple):
     Entry v of the table of p is v_p of the image of every n with
     v_p(n) == v; a prime without a table keeps its exponents. The table of
     p covers the exponents v with p**v <= max_n, except that an unbounded
-    spec table is read only as far as it goes. Built by from_word and
-    from_spec; words and specs evaluate ranges and compare prefixes through
-    it.
+    spec table is read only as far as it goes. Built from a word by
+    from_word and from a spec by exponents._spec_tables; it is the one
+    fast path of word, spec and generator maps, which evaluate ranges and
+    compare prefixes through it.
     """
 
     tables: dict[int, list[int]]
@@ -234,18 +232,6 @@ class _PrimeMaps(NamedTuple):
         return {p: _part_table(list(range(max_level + 1)), *parts.get(p, ((), None)))
                 for p in primes}
 
-    @classmethod
-    def from_spec(cls, spec, max_n: int) -> "_PrimeMaps":
-        """An exponent spec on 1..max_n: a bounded function repeats its last
-        value, and an unbounded table ends where its values do."""
-        tables = {}
-        for p, fn in spec.functions.items():
-            length = cls._length(p, max_n)
-            table = tables[p] = list(fn.values[:length])
-            if fn.shape == BOUNDED:
-                table += table[-1:] * (length - len(table))
-        return cls(tables, max_n)
-
     def values(self) -> list[int]:
         """Values on 1..max_n (index 0 holds the image of 1), or on 1..n - 1
         when a table ends short and n = p**len(table) <= max_n is the
@@ -275,20 +261,20 @@ class _PrimeMaps(NamedTuple):
                 q *= p
         return vals
 
-    def first_differences(self, other: "_PrimeMaps") -> dict[int, int]:
-        """{p: the first exponent where the tables of p differ or one ends},
-        over the primes where they do; a prime one side lacks has the
-        identity table there. Both sides cover the same 1..max_n."""
-        out = {}
+    def first_difference(self, other: "_PrimeMaps", bounds: Mapping[int, int]) -> int | None:
+        """The smallest p**v at which the tables of p differ or one ends,
+        keeping for each prime p in bounds only the v <= bounds[p]; None
+        when there is none. A prime one side lacks has the identity table
+        there. Both sides cover the same 1..max_n, so p**v <= max_n."""
+        points = []
         for p in self.tables.keys() | other.tables.keys():
             identity = range(self._length(p, self.max_n))
             left, right = self.tables.get(p, identity), other.tables.get(p, identity)
-            v = next((v for v, (a, b) in enumerate(zip(left, right)) if a != b), None)
-            if v is None and len(left) != len(right):
-                v = min(len(left), len(right))
-            if v is not None:
-                out[p] = v
-        return out
+            v = next((v for v, (a, b) in enumerate(zip(left, right)) if a != b),
+                     min(len(left), len(right)))
+            if v < max(len(left), len(right)) and v <= bounds.get(p, v):
+                points.append(p**v)
+        return min(points, default=None)
 
 
 def eval_range(word: Word, max_n: int) -> list[int]:
@@ -323,11 +309,9 @@ def equal_upto(w1: Word, w2: Word, max_n: int) -> Witness | None:
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    left, right = _PrimeMaps.from_word(w1, max_n), _PrimeMaps.from_word(w2, max_n)
-    differences = left.first_differences(right)
-    if not differences:
+    n = _PrimeMaps.from_word(w1, max_n).first_difference(_PrimeMaps.from_word(w2, max_n), {})
+    if n is None:
         return None
-    n = min(p**v for p, v in differences.items())
     return Witness(n, eval_word(w1, n), eval_word(w2, n))
 
 

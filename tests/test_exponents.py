@@ -1,11 +1,13 @@
 import random
+from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dynzeta.exponents as exponents
 from dynzeta.cli import parse_map
-from dynzeta.compiler import compile_spec
+from dynzeta.compiler import InvalidSpecError, compile_spec
 from dynzeta.exponents import (
     ExponentFunction,
     ExponentSpec,
@@ -32,6 +34,7 @@ from oracles import (
 )
 
 B, C = Generator.bump, Generator.cap
+PRIMES_7 = (2, 3, 5, 7)
 
 
 def build_spec(tables):
@@ -196,6 +199,34 @@ class TestSpecFromWord:
             assert fn.values == tuple(
                 valuation(p, eval_word(word, p**v)) for v in range(max_level + 1)
             )
+
+    def test_a_capped_word_compiles_only_when_read_as_bounded(self):
+        # the cap drops the table of 2 below its index at 2: (0, 1, 1, 1, 1)
+        spec = spec_from_word(Word((C(2, 1),)), 3, 4)
+        assert spec.functions[2] == ExponentFunction.unbounded((0, 1, 1, 1, 1))
+        with pytest.raises(InvalidSpecError, match="value 1 at index 2 is below the index"):
+            compile_spec(spec)
+        bounded = ExponentSpec({p: ExponentFunction.bounded(fn.values)
+                                for p, fn in spec.functions.items()})
+        # read as bounded, every table is capped at its last entry: exact up to 2**4, 3**4
+        assert compile_spec(bounded).word == Word((C(2, 1), C(3, 4)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(0, 14), st.integers(0, 4),
+           st.sampled_from([None, *PRIMES_7]), st.integers(0, 4))
+    def test_bounded_reading_compiles_to_the_word(self, seed, length, max_level, cap_prime,
+                                                  cap_level):
+        word = random_word(seed, length, 7, 4)
+        if cap_prime is not None:
+            word = Word((*word.gens, C(cap_prime, cap_level)))
+        spec = spec_from_word(word, 7, max_level)
+        bounded = ExponentSpec({p: ExponentFunction.bounded(fn.values)
+                                for p, fn in spec.functions.items()})
+        compiled = compile_spec(bounded).word
+        # every n whose exponents are at most max_level, an untouched prime included
+        for es in product(range(max_level + 1), repeat=len(PRIMES_7)):
+            n = prod(p**e for p, e in zip(PRIMES_7, es)) * 11 ** (sum(es) % 2)
+            assert eval_word(compiled, n) == eval_word(word, n), (word, n)
 
     def test_consistency_with_word_evaluation(self):
         for seed in range(40):

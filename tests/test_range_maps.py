@@ -181,6 +181,22 @@ class TestRangeValues:
         assert list(_map_values(_spec_map(spec), 8)) == [1, 2, 3, 4, 5, 6, 7, 8]
 
 
+class TestEveryParsedMapKind:
+    @pytest.mark.parametrize("max_n", [1, 7, 8, 100])
+    def test_values_are_the_pointwise_values(self, tmp_path, max_n):
+        word = tmp_path / "word.json"
+        word.write_text(json.dumps({"gens": [{"kind": "g", "p": 2, "t": 1},
+                                             {"kind": "h", "p": 3, "t": 1}]}))
+        names = ["identity", "mul:3", *POWER_MAPS, "succ", "gen:g:101:0", "gen:h:101:0",
+                 "gen:g:2:1", f"word:{word}", f"spec:{SPEC_DIR / 'squaring.json'}",
+                 f"spec:{SPEC_DIR / 'constant2.json'}", f"spec:{SPEC_DIR / 'doubling.json'}"]
+        for name in names:
+            f = parse_map(name)
+            # doubling.json's table ends at 2**2: its values stop before n = 8, then raise
+            got = prefix_then_error(_map_values(f, max_n))
+            assert got == pointwise_prefix(f, max_n), name
+
+
 class TestRangePathIsTaken:
     def test_consumers_never_map_one_n_at_a_time(self, monkeypatch):
         spec = build_spec({2: ("unbounded", list(range(1, 12))), 3: ("bounded", [0, 2])})
@@ -513,20 +529,20 @@ class TestResiduePaths:
     @given(st.sampled_from(POWER_MAPS), st.integers(1, 300), st.integers(1, 10**40))
     def test_power_maps_against_full_values(self, name, max_n, modulus):
         f = parse_map(name)
-        assert _map_residues(f, max_n, modulus) == [f(n) % modulus for n in range(1, max_n + 1)]
+        assert _map_residues(f, max_n)(modulus) == [f(n) % modulus for n in range(1, max_n + 1)]
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10**6), st.integers(1, 300), st.integers(1, 10**6))
     def test_other_maps_reduce_their_values(self, seed, max_n, modulus):
         for name, f in random_range_maps(seed).items():
-            assert _map_residues(f, max_n, modulus) == [
+            assert _map_residues(f, max_n)(modulus) == [
                 m % modulus for m in pointwise_values(f, max_n)
             ], name
 
     @pytest.mark.parametrize("f, shown, at", TestPlainCallables.BAD)
     def test_plain_callables_are_validated(self, f, shown, at):
         expected = outcome(lambda: pointwise_values(f, 20))
-        assert outcome(lambda: _map_residues(f, 20, 12)) == expected
+        assert outcome(lambda: _map_residues(f, 20)(12)) == expected
 
     @pytest.mark.parametrize("name", POWER_MAPS)
     def test_probes_never_build_the_full_powers(self, name):
@@ -536,7 +552,7 @@ class TestResiduePaths:
         def refuse(n):
             raise AssertionError("built a full power")
 
-        f.point = f.values = refuse
+        f.point = refuse
         for max_k in (24, 2 * _LANES + 3):
             assert membership_test(f, max_k, 500) == reference_report(intact, max_k, 500)
         for k in (1, 4, 6, 12):

@@ -279,6 +279,36 @@ RATIONAL_TAILS = st.lists(
 )
 
 
+class Real(float):
+    pass
+
+
+class TestExactCoefficients:
+    @pytest.mark.parametrize("build", [Series, Series.of])
+    @pytest.mark.parametrize("coeffs, index", [
+        ((1, 0.1), 1), ((1, 2.0, 3.0), 1), ((True, 0), 0), ((1, Fraction(1, 2), False), 2),
+        ((Real(1),), 0),
+    ])
+    def test_floats_and_bools_are_rejected_by_index(self, build, coeffs, index):
+        with pytest.raises(ValueError, match=f"^series coefficient {index} is "):
+            build(coeffs)
+
+    def test_a_float_series_is_never_checked_as_a_zeta(self):
+        # Series.of once stored 2.0 and 3.0 as 2 and 3, and is_zeta passed it
+        with pytest.raises(ValueError, match="series coefficient 1 is 2.0"):
+            is_zeta(Series.of([1, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("r", [0.5, 2.0, True, False, Real(-1)])
+    def test_pow_rejects_float_and_bool_exponents(self, r):
+        with pytest.raises(ValueError, match="^series exponent is "):
+            series_pow(Series.of([1, -2], order=4), r)
+
+    def test_exact_coefficients_are_padded_and_cut(self):
+        assert Series.of([1, Fraction(1, 3)], order=3).coeffs == (1, Fraction(1, 3), 0, 0)
+        assert Series.of([1, 2, 3, 4], order=1).coeffs == (1, 2)
+        assert all(type(c) is Fraction for c in Series.of([1, 2], order=3).coeffs)
+
+
 class TestExpLogOnZetaKernels:
     """exp G is the zeta series of the counts k * G_k, and log inverts it."""
 
