@@ -57,10 +57,21 @@ def factorize(n: int) -> list[tuple[int, int]]:
     """
     if n < 1:
         raise ValueError(f"cannot factorize {n}; expected a positive integer")
+    pairs, m = _trial_division(n, n)
+    if m > 1:
+        pairs.append((m, 1))
+    return pairs
+
+
+def _trial_division(n: int, bound: int) -> tuple[list[tuple[int, int]], int]:
+    """(pairs, rest) for n >= 1: the primes p <= bound of n with their
+    exponents, ascending, and the cofactor rest = n / prod p**e. Division
+    stops at the first candidate d above bound or with d * d > rest, so
+    rest is 1, a prime, or a number whose primes all exceed bound."""
     pairs = []
     m = n
     for p in (2, 3):
-        if m % p == 0:
+        if p <= bound and m % p == 0:
             e = 0
             while m % p == 0:
                 m //= p
@@ -69,7 +80,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
     # remaining candidates have the form 6k +/- 1
     d = 5
     step = 2
-    while d * d <= m:
+    while d <= bound and d * d <= m:
         if m % d == 0:
             e = 0
             while m % d == 0:
@@ -78,9 +89,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
             pairs.append((d, e))
         d += step
         step = 6 - step
-    if m > 1:
-        pairs.append((m, 1))
-    return pairs
+    return pairs, m
 
 
 def valuation(p: int, n: int) -> int:

@@ -22,14 +22,14 @@ checks), and reads a spec on 1..N as the per-prime tables words use
 compiler.verify_compile also compares with a word's.
 
 Every map the library builds has its point rule and at most one fast path
-(series._RangeMap): exponent tables (word, spec and generator maps) or
-residues (the CLI's `nn` and `pow:B`). The map consumers here (membership
-probes, preimage structure, the divisibility laws) first ask a map for its
-tables. When every table covers its prime's exponents on 1..N (no
-unbounded spec table ends short) and is non-decreasing, f(n) =
-prod_p p**phi_p(v_p(n)) on 1..N with every phi_p non-decreasing (the
-identity off the tables), and the consumers answer from the tables alone,
-whatever the size of N:
+(series._RangeMap): exponent tables (word, spec and generator maps, and
+the CLI's `identity` and `mul:C`) or residues (only the CLI's `nn` and
+`pow:B`). The map consumers here (membership probes, preimage structure,
+the divisibility laws) first ask a map for its tables. When every table
+covers its prime's exponents on 1..N (no unbounded spec table ends short)
+and is non-decreasing, f(n) = prod_p p**phi_p(v_p(n)) on 1..N with every
+phi_p non-decreasing (the identity off the tables), and the consumers
+answer from the tables alone, whatever the size of N (10**12 included):
 
     divisibility laws: all three hold (check_divisibility_properties);
     preimage of the multiples of k: the multiples of one step read off
@@ -39,8 +39,10 @@ whatever the size of N:
         fails, for any orbit length (membership_test).
 
 The tables never refute. Every other map (plain callables, the power maps,
-short or non-monotone spec tables) is read through its values, so its
-errors, witnesses and counterexamples come from them. Like
+`succ`, short or non-monotone spec tables, `mul:C` at an N where C's
+primes are not known) is read through its values, so its errors,
+witnesses and counterexamples come from them; the divisibility laws are
+then tested along prime steps, in O(N log log N) tests. Like
 series.time_change_fix, that reading takes a map's values on 1..N once
 (series._map_values): off its tables where the map has them, by its point
 rule for the other maps the library builds, and one validated call per n
@@ -67,7 +69,7 @@ from math import gcd, lcm
 from typing import Callable, Mapping
 
 from .arith import factorize, is_prime, primes_up_to
-from .sequences import DOLD, SIGN, RealizabilityVerdict, mobius_transform
+from .sequences import DOLD, SIGN, RealizabilityVerdict, _mobius_sieve
 from .series import _map_residues, _map_values, _RangeMap
 from .words import Word, _check_int, _PrimeMaps
 
@@ -259,13 +261,14 @@ def _spec_map(spec: ExponentSpec) -> Callable[[int], int]:
 
 
 def _tables(f: Callable[[int], int], max_n: int) -> dict[int, list[int]] | None:
-    """f's exponent tables {p: table} on 1..max_n, when f carries them (word,
-    spec and generator maps), every table covers the exponents v with
-    p**v <= max_n (no unbounded spec table ends short) and every table is
-    non-decreasing; else None, and the consumer reads f's values."""
-    if not isinstance(f, _RangeMap) or f.tables is None:
+    """f's exponent tables {p: table} on 1..max_n, when f carries them there
+    (word, spec and generator maps, and the CLI's `identity` and `mul:C`),
+    every table covers the exponents v with p**v <= max_n (no unbounded
+    spec table ends short) and every table is non-decreasing; else None,
+    and the consumer reads f's values."""
+    maps = f.tables(max_n) if isinstance(f, _RangeMap) else None
+    if maps is None:
         return None
-    maps = f.tables(max_n)
     for p, table in maps.tables.items():
         if len(table) < _PrimeMaps._length(p, max_n) or any(
             a > b for a, b in zip(table, table[1:])
@@ -480,8 +483,9 @@ def _probe_block(ks: range, modulus: int, residues: list[int],
     indicator of k | f(n), so its transform is k * c with c the transform
     of that indicator. Each n gets one integer holding, in bits
     width*j .. width*(j+1) - 1, the indicator of ks[j] | f(n); it is read
-    off gcd(f(n) mod modulus, modulus), once per distinct gcd. One
-    mobius_transform of these integers transforms every lane at once.
+    off gcd(f(n) mod modulus, modulus), once per distinct gcd. One run of
+    mobius_transform's sieve on these integers transforms every lane at
+    once; it skips the public check on counts, as they are built here.
     Every |c_n| <= 2**omega(n) <= n < 2**(width - 2), so adding half a
     lane to every lane makes each one non-negative and exact to read.
     Lanes are read in order of k and each from the smallest n, sign before
@@ -498,7 +502,7 @@ def _probe_block(ks: range, modulus: int, residues: list[int],
     half, mask = 1 << width - 1, (1 << width) - 1
     bias = sum(half << width * j for j in range(len(ks)))
     # a transformed integer of 0 is 0 in every lane, and passes every probe
-    moved = [(n, c + bias) for n, c in enumerate(mobius_transform(packed), start=1) if c]
+    moved = [(n, c + bias) for n, c in enumerate(_mobius_sieve(packed), start=1) if c]
     for j, k in enumerate(ks):
         shift = width * j
         for n, c in moved:
@@ -550,10 +554,24 @@ def check_divisibility_properties(f: Callable[[int], int], max_n: int) -> Divisi
                      v_q(f(1)).
 
     For any other map the values f(1..max_n) are taken once (see
-    series._map_values). prime_support strips the primes of n from
-    f(n) by repeated gcd and tests that the rest divides f(1); only the
-    first value that fails is factorized, to name its smallest offending
-    prime.
+    series._map_values), and each law is tested along prime steps, in
+    O(max_n log log max_n) tests in all:
+
+      divides:       f(m) | f(mq) for every prime q. A chain of prime steps
+                     from m to a multiple n holds when each step does, so
+                     the smallest n with a failing m | n has a failing last
+                     step; only there are its divisors m scanned, to name
+                     the smallest.
+      coprime_lcm:   f(1) | f(n), and f(n) = lcm(f(Q), f(n/Q)) with Q the
+                     full power of the smallest prime of n. By induction
+                     on n that gives f(n) = lcm of f(Q) over the prime
+                     powers Q of n, which is the law for every coprime
+                     pair. Only when it fails are the pairs (m, n) scanned,
+                     smallest m first, to name the first.
+      prime_support: the primes of n are stripped from f(n) by repeated
+                     gcd, and the rest must divide f(1); only the first
+                     value that fails is factorized, to name its smallest
+                     offending prime.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
@@ -561,31 +579,36 @@ def check_divisibility_properties(f: Callable[[int], int], max_n: int) -> Divisi
         holds = ClaimResult(True)
         return DivisibilityReport(max_n, holds, holds, holds)
     values = [0, *_map_values(f, max_n)]  # 1-based
+    primes = primes_up_to(max_n)
 
-    # walk the multiples n of each m; the first failure is the smallest n,
-    # then the smallest m, so a later m only looks below the best n so far
     divides = ClaimResult(True)
-    first_n = max_n + 1
-    for m in range(1, max_n + 1):
-        fm = values[m]
-        for n in range(m, first_n, m):
-            if values[n] % fm != 0:
-                divides = ClaimResult(False, (m, n))
-                first_n = n
-                break
-
-    coprime_lcm = ClaimResult(True)
-    for m in range(1, max_n + 1):
-        if not coprime_lcm.holds:
+    first_n = max_n + 1  # the smallest n with a failing step so far
+    for q in primes:
+        if q >= first_n:
             break
-        for n in range(m + 1, max_n // m + 1):
-            if gcd(m, n) != 1:
-                continue
-            fm, fn = values[m], values[n]
-            expected = fm * fn // gcd(fm, fn)
-            if values[m * n] != expected:
-                coprime_lcm = ClaimResult(False, (m, n))
+        for m, fn in enumerate(values[q:first_n:q], start=1):
+            if fn % values[m]:
+                first_n = m * q
                 break
+    if first_n <= max_n:
+        fn = values[first_n]
+        m = next(m for m in range(1, first_n) if first_n % m == 0 and fn % values[m])
+        divides = ClaimResult(False, (m, first_n))
+
+    # power[n] is the full power of the smallest prime of n: primes are
+    # written largest first, so the smallest writes last
+    power = [1] * (max_n + 1)
+    for q in reversed(primes):
+        qe = q
+        while qe <= max_n:
+            power[qe::qe] = [qe] * (max_n // qe)
+            qe *= q
+    coprime_lcm = ClaimResult(True)
+    f1 = values[1]
+    if any(fn % f1 for fn in values[2:]) or any(
+        values[n] != lcm(values[qe], values[n // qe]) for n, qe in enumerate(power) if qe < n
+    ):
+        coprime_lcm = _first_lcm_pair(values, max_n)
 
     # the part of f(n) on primes not dividing n must divide f(1); g keeps
     # every prime of n still in rest, and squaring it strips fast
@@ -603,3 +626,16 @@ def check_divisibility_properties(f: Callable[[int], int], max_n: int) -> Divisi
             break
 
     return DivisibilityReport(max_n, divides, coprime_lcm, prime_support)
+
+
+def _first_lcm_pair(values: list[int], max_n: int) -> ClaimResult:
+    """The first coprime pair m < n, smallest m then n, with f(mn) !=
+    lcm(f(m), f(n)), where f(n) = values[n]."""
+    for m in range(1, max_n + 1):
+        for n in range(m + 1, max_n // m + 1):
+            if gcd(m, n) != 1:
+                continue
+            fm, fn = values[m], values[n]
+            if values[m * n] != fm * fn // gcd(fm, fn):
+                return ClaimResult(False, (m, n))
+    return ClaimResult(True)

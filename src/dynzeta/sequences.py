@@ -90,6 +90,12 @@ def mobius_transform(entries: Sequence[int]) -> list[int]:
     factorization.
     """
     _validate_counts(entries)
+    return _mobius_sieve(entries)
+
+
+def _mobius_sieve(entries: Sequence[int]) -> list[int]:
+    """mobius_transform's sieve, with no check on the entries: for callers
+    that build their integers themselves (the packed membership probes)."""
     out = [0, *entries]  # 1-based
     n_max = len(entries)
     for p in primes_up_to(n_max):

@@ -195,9 +195,10 @@ class _PrimeMaps(NamedTuple):
     v_p(n) == v; a prime without a table keeps its exponents. The table of
     p covers the exponents v with p**v <= max_n, except that an unbounded
     spec table is read only as far as it goes. Built from a word by
-    from_word and from a spec by exponents._spec_tables; it is the one
-    fast path of word, spec and generator maps, which evaluate ranges and
-    compare prefixes through it.
+    from_word, from a spec by exponents._spec_tables and for the CLI's
+    `identity` and `mul:C` by cli._mul_tables; it is the one fast path of
+    these maps, and word maps evaluate ranges and compare prefixes
+    through it.
     """
 
     tables: dict[int, list[int]]

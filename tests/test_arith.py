@@ -1,7 +1,17 @@
+from math import prod
+
 import pytest
 from hypothesis import given, strategies as st
 
-from dynzeta.arith import divisors, factorize, is_prime, moebius, primes_up_to, valuation
+from dynzeta.arith import (
+    _trial_division,
+    divisors,
+    factorize,
+    is_prime,
+    moebius,
+    primes_up_to,
+    valuation,
+)
 
 from oracles import mu
 
@@ -43,6 +53,22 @@ def test_factorize_round_trip(n):
     for p, e in factorize(n):
         product *= p**e
     assert product == n
+
+
+@given(st.integers(min_value=1, max_value=10**12), st.integers(min_value=0, max_value=2000))
+def test_trial_division_stops_at_its_bound(n, bound):
+    # the primes <= bound of n in full, and a rest that is 1, a prime, or
+    # has every prime above bound
+    pairs, rest = _trial_division(n, bound)
+    assert pairs == [(p, e) for p, e in factorize(n) if p <= bound and p != rest]
+    assert n == rest * prod(p**e for p, e in pairs)
+    assert rest == 1 or is_prime(rest) or factorize(rest)[0][0] > bound
+
+
+def test_trial_division_never_divides_past_its_bound():
+    assert _trial_division(10007 * 10009, 100) == ([], 10007 * 10009)
+    assert _trial_division(12 * 10007 * 10009, 3) == ([(2, 2), (3, 1)], 10007 * 10009)
+    assert _trial_division(10007 * 10009, 10007) == ([(10007, 1)], 10009)
 
 
 @pytest.mark.parametrize("p, n, expected", [(2, 8, 3), (3, 8, 0), (2, 46656, 6)])

@@ -22,7 +22,7 @@ from dynzeta.exponents import (
     validate_spec,
 )
 from dynzeta.sequences import DOLD, SIGN, RealizabilityVerdict
-from dynzeta.arith import valuation
+from dynzeta.arith import divisors, valuation
 from dynzeta.words import Generator, Word, eval_generator, eval_range, eval_word, random_word
 
 from oracles import (
@@ -357,6 +357,54 @@ class TestDivisibilityAgainstQuadraticScan:
     def test_one_corrupted_value_of_identity(self, where, factor):
         values = [n * factor if n == where else n for n in range(1, 301)]
         assert _counterexamples(values) == divisibility_counterexamples(values)
+
+
+# members of the monoid on 1..max_n: C * n**b, words, and valid specs whose
+# unbounded tables cover every exponent below 2**8
+member_maps = st.one_of(
+    st.builds(lambda c, b: lambda n: c * n**b, st.integers(1, 6), st.integers(0, 3)),
+    st.builds(lambda seed, length: random_word(seed, length, 13, 4).as_map(),
+              st.integers(0, 10**6), st.integers(0, 12)),
+    st.integers(0, 10**6).map(lambda seed: _spec_map(build_spec(random_valid_spec_tables(
+        random.Random(seed), (2, 3, 5, 7, 11), max_len=8, unbounded_min_len=8)))),
+)
+
+
+class TestLawsAlongPrimeSteps:
+    """The laws are tested along prime steps, and a failing one is named
+    by the pairwise rule: checked against the quadratic scan on members
+    whose value at one late n is changed, so that divides and coprime_lcm
+    fail far from n = 2."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(member_maps, st.integers(2, 150), st.data())
+    def test_members_with_one_late_value_changed(self, f, max_n, data):
+        values = pointwise_values(f, max_n)
+        assert _counterexamples(values) == divisibility_counterexamples(values)
+        n0 = data.draw(st.integers(max_n // 2 + 1, max_n))
+        old = values[n0 - 1]
+        values[n0 - 1] = data.draw(st.one_of(
+            st.integers(2, 7).map(lambda k: old * k),
+            st.sampled_from(divisors(old)).map(lambda d: old // d),
+            st.integers(1, 2 * old),
+        ))
+        assert _counterexamples(values) == divisibility_counterexamples(values)
+
+    @pytest.mark.parametrize(
+        "change, law, witness",
+        [
+            # f(90) = 30: the failing steps are 18 and 45, the smallest m is 9
+            (lambda v: v // 3, "divides", (9, 90)),
+            (lambda v: v * 7, "coprime_lcm", (2, 45)),  # 90 = 2 * 45, smallest m first
+            (lambda v: v * 7, "prime_support", (7, 90)),
+        ],
+    )
+    def test_late_failure_of_the_identity(self, change, law, witness):
+        values = list(range(1, 101))
+        values[89] = change(90)
+        got = _counterexamples(values)
+        assert got == divisibility_counterexamples(values)
+        assert got[law] == witness
 
 
 class TestValidSpecsBehaveLikeMembers:

@@ -25,6 +25,7 @@ from dynzeta.exponents import (
     ExponentSpec,
     MembershipReport,
     MembershipWitness,
+    PreimageStructure,
     TableRangeError,
     _LANES,
     _spec_map,
@@ -195,6 +196,99 @@ class TestEveryParsedMapKind:
             # doubling.json's table ends at 2**2: its values stop before n = 8, then raise
             got = prefix_then_error(_map_values(f, max_n))
             assert got == pointwise_prefix(f, max_n), name
+
+    @pytest.mark.parametrize("max_n", [1, 7, 30, 100])
+    def test_divisibility_against_the_quadratic_scan(self, tmp_path, max_n):
+        word = tmp_path / "word.json"
+        word.write_text(json.dumps({"gens": [{"kind": "g", "p": 3, "t": 0},
+                                             {"kind": "h", "p": 2, "t": 2}]}))
+        names = ["identity", "mul:1", "mul:12", "mul:101", f"mul:{10007 * 10009}",
+                 *POWER_MAPS, "succ", "gen:g:2:1", "gen:h:101:0", f"word:{word}",
+                 f"spec:{SPEC_DIR / 'squaring.json'}", f"spec:{SPEC_DIR / 'doubling.json'}"]
+        for name in names:
+            f = parse_map(name)
+            got = outcome(lambda: divisibility_dict(check_divisibility_properties(f, max_n)))
+            expected = outcome(lambda: divisibility_counterexamples(pointwise_values(f, max_n)))
+            assert got == expected, name
+
+
+class TestMulTables:
+    """`identity` and `mul:C` answer from the tables v -> v + v_p(C), and
+    give the results and CLI bytes of the plain callable n -> C * n."""
+
+    # C = 101 is a prime above some max_n, 10007 one above all; 10007 *
+    # 10009 >= (max_n + 1)**2 for every max_n here, so it has no tables
+    FACTORS = (1, 2, 12, 101, 10007, 10007 * 10009)
+
+    @pytest.mark.parametrize("c", FACTORS)
+    @pytest.mark.parametrize("max_n", [1, 7, 100, 300])
+    def test_consumers_against_the_plain_callable(self, c, max_n):
+        plain = lambda n: c * n
+        for f in (parse_map(f"mul:{c}"),) + ((parse_map("identity"),) if c == 1 else ()):
+            for k in sorted({1, 2, 4, 6, 7, 12, c, max_n} & set(range(1, max_n + 1))):
+                assert preimage_structure(f, k, max_n) == preimage_structure(plain, k, max_n)
+            assert check_divisibility_properties(f, max_n) == check_divisibility_properties(
+                plain, max_n)
+            for max_k in (1, 24):
+                assert membership_tuple(membership_test(f, max_k, max_n)) == membership_tuple(
+                    membership_test(plain, max_k, max_n))
+            for k in (1, 3):
+                source = FixSource.single_orbit(k)
+                assert time_change_fix(f, source, max_n) == time_change_fix(plain, source, max_n)
+
+    @pytest.mark.parametrize("c", FACTORS)
+    def test_cli_bytes_of_the_plain_callable(self, capsys, monkeypatch, c):
+        requests = [
+            ["preimage", "--k", "4", "--max-n", "100"],
+            ["preimage", "--k", "7", "--max-n", "7"],
+            ["divisibility-check", "--max-n", "100"],
+            ["membership-test", "--max-k", "24", "--max-n", "100"],
+            ["apply", "--source", "reg:3", "--max-n", "30"],
+        ]
+        names = [f"mul:{c}"] + (["identity"] if c == 1 else [])
+
+        def run(argv):
+            code = main(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        for name in names:
+            got = [run([req[0], "--map", name, *req[1:]]) for req in requests]
+            with monkeypatch.context() as patch:
+                patch.setattr("dynzeta.cli.parse_map", lambda text: lambda n: c * n)
+                expected = [run([req[0], "--map", name, *req[1:]]) for req in requests]
+            assert got == expected, name
+
+    def test_tables(self):
+        assert parse_map("identity").tables(100).tables == {}
+        assert parse_map("mul:1").tables(100).tables == {}
+        assert parse_map("mul:12").tables(30).tables == {2: [2, 3, 4, 5, 6], 3: [1, 2, 3, 4]}
+        # a prime cofactor left when d * d passes it, and one above max_n
+        assert parse_map("mul:101").tables(300).tables == {101: [1, 2]}
+        assert parse_map("mul:202").tables(100).tables == {2: [1, 2, 3, 4, 5, 6, 7], 101: [1]}
+        assert parse_map(f"mul:{10007 * 10009}").tables(10007).tables == {10007: [1, 2], 10009: [1]}
+
+    def test_a_cofactor_that_is_not_split_is_read_by_its_point_rule(self):
+        # 10007 * 10009 >= 101**2: C is divided by the primes <= 100 only,
+        # and then the map has no tables at max_n = 100
+        c = 10007 * 10009
+        f = parse_map(f"mul:{c}")
+        assert f.tables(100) is None
+        assert parse_map(f"mul:{101**2}").tables(100) is None  # 101**2 is not prime
+        calls = []
+        point = f.point
+        f.point = lambda n: calls.append(n) or point(n)
+        assert check_divisibility_properties(f, 100).all_hold
+        assert calls == list(range(1, 101))
+
+    def test_answers_at_a_trillion(self):
+        big = 10**12
+        got = preimage_structure(parse_map("mul:6"), 4, big)
+        assert got == PreimageStructure.progression(4, big, 2)
+        assert check_divisibility_properties(parse_map("mul:12"), big).all_hold
+        report = membership_test(parse_map("mul:2"), 24, big)
+        assert not report.refuted and report.certificate is not None
+        assert membership_test(parse_map("identity"), 24, big).certificate == ExponentSpec({})
 
 
 class TestRangePathIsTaken:
