@@ -2,13 +2,14 @@
 function, divisor and prime enumeration.
 
 Everything runs on plain Python integers, so all values are arbitrary
-precision. Factorization is deterministic trial division, which is more than
-enough for the magnitudes this library handles; there is no probabilistic
-fallback to tune.
+precision. Factorization is trial division, which stops once the cofactor
+is prime. The primality test is Miller-Rabin to the prime bases up to 41,
+proven correct only below psi_13 = 3317044064679887385961981.
 """
 
 from __future__ import annotations
 
+from itertools import chain, count
 from math import isqrt
 
 __all__ = [
@@ -20,16 +21,17 @@ __all__ = [
     "primes_up_to",
 ]
 
-# Deterministic Miller-Rabin witness set, valid for every n below
-# 3_317_044_064_679_887_385_961_981 (far beyond anything produced here).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The primes up to 41: is_prime's trial divisors and its Miller-Rabin bases
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for non-negative integers."""
+    """Primality of n >= 0: trial division, then strong probable-prime
+    tests, both by the primes up to 41. Proven only below psi_13 =
+    3317044064679887385961981, the least strong pseudoprime to them all."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -37,7 +39,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -66,29 +68,23 @@ def factorize(n: int) -> list[tuple[int, int]]:
 def _trial_division(n: int, bound: int) -> tuple[list[tuple[int, int]], int]:
     """(pairs, rest) for n >= 1: the primes p <= bound of n with their
     exponents, ascending, and the cofactor rest = n / prod p**e. Division
-    stops at the first candidate d above bound or with d * d > rest, so
-    rest is 1, a prime, or a number whose primes all exceed bound."""
+    stops once rest is prime (is_prime), or at the first candidate d above
+    bound or with d * d > rest, so rest is 1, a prime, or a number whose
+    primes all exceed bound."""
     pairs = []
     m = n
-    for p in (2, 3):
-        if p <= bound and m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            pairs.append((p, e))
-    # remaining candidates have the form 6k +/- 1
-    d = 5
-    step = 2
-    while d <= bound and d * d <= m:
+    prime = is_prime(m)
+    # candidates 2, 3, then the numbers 6k +/- 1
+    for d in chain((2, 3), (d for k in count(6, 6) for d in (k - 1, k + 1))):
+        if prime or d > bound or d * d > m:
+            break
         if m % d == 0:
             e = 0
             while m % d == 0:
                 m //= d
                 e += 1
             pairs.append((d, e))
-        d += step
-        step = 6 - step
+            prime = is_prime(m)
     return pairs, m
 
 

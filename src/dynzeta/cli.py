@@ -25,7 +25,7 @@ from functools import cache
 from typing import Callable
 
 from . import jsonio
-from .arith import _trial_division
+from .arith import _trial_division, is_prime
 from .compiler import compile_spec
 from .exponents import (
     _spec_map,
@@ -77,9 +77,9 @@ def parse_map(text: str) -> Callable[[int], int]:
     consumers take their values on 1..max_n from them in one pass, and the
     membership probes, the preimage structure and the divisibility laws
     answer from them alone when the tables serve (see dynzeta.exponents),
-    at N = 10**12 as fast as at N = 10. `mul:C` has the table v -> v +
-    v_p(C) at each prime p of C, found by _mul_tables, and `identity` is
-    `mul:1`, whose set of tables is empty. `nn` and `pow:B` carry a
+    at N = 10**12 as fast as at N = 10. `mul:C` has the table [v_p(C)]
+    with tail 1 at each prime p of C, found by _mul_tables, and `identity`
+    is `mul:1`, whose set of tables is empty. `nn` and `pow:B` carry a
     residue path instead, so consumers that read only f(n) mod M (the
     membership probes, the preimage structure) never build the powers.
     `succ` has neither.
@@ -115,22 +115,21 @@ def parse_map(text: str) -> Callable[[int], int]:
 
 
 def _mul_tables(c: int, max_n: int) -> _PrimeMaps | None:
-    """n -> c * n on 1..max_n as per-prime tables: v -> v + v_p(c) for each
-    prime p of c, on the v with p**v <= max_n.
+    """n -> c * n as per-prime tables: v -> v + v_p(c), the table [v_p(c)]
+    with tail 1, for each prime p of c.
 
-    c is divided by the primes <= max_n alone, never up to sqrt(c). Every
-    prime of a cofactor r > 1 left over then exceeds max_n, so r is prime
-    when r < (max_n + 1)**2, and keyed with its one-entry table [1]. A
-    larger r cannot be split that way, and the map has no tables at this
-    max_n (None): its consumers read it by its point rule.
+    c is divided by the primes <= max_n alone, never up to sqrt(c), and
+    division stops once the cofactor r is prime, which is then keyed
+    whatever its size. A composite r > 1 has every prime above max_n and
+    cannot be split that way, and the map has no tables at this max_n
+    (None): its consumers read it by its point rule.
     """
     pairs, r = _trial_division(c, max_n)
-    if r >= (max_n + 1) ** 2:
-        return None
     if r > 1:
+        if not is_prime(r):
+            return None
         pairs.append((r, 1))
-    length = _PrimeMaps._length
-    return _PrimeMaps({p: list(range(e, e + length(p, max_n))) for p, e in pairs}, max_n)
+    return _PrimeMaps({p: ([e], 1) for p, e in pairs})
 
 
 def parse_source(text: str) -> FixSource:

@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import is_prime
-from .exponents import BOUNDED, ExponentSpec, SpecViolation, _spec_tables, apply_spec, validate_spec
-from .words import Generator, Word, _normal_word, _PrimeMaps, eval_word
+from .exponents import BOUNDED, ExponentSpec, SpecViolation, _spec_map, apply_spec, validate_spec
+from .words import Generator, Word, _normal_word, eval_word
 
 __all__ = [
     "InvalidSpecError",
@@ -130,8 +130,8 @@ def verify_compile(result: CompileResult, spec: ExponentSpec, max_n: int) -> Mis
             raise ValueError(f"{p} is not prime")
     if any(bound < 0 for bound in result.agreement.values()):
         return None  # no n is admitted
-    word = _PrimeMaps.from_word(result.word, max_n)
-    n = word.first_difference(_spec_tables(spec, max_n), result.agreement)
+    word = result.word.as_map().tables(max_n)
+    n = word.first_difference(_spec_map(spec).tables(max_n), result.agreement, max_n)
     if n is None:
         return None
     return Mismatch(n, eval_word(result.word, n), apply_spec(spec, n))

@@ -17,8 +17,9 @@ by the identity (value >= index) on the whole table for unbounded shapes,
 respectively up to the eventual value for bounded ones.
 
 This module owns that format (the shapes BOUNDED and UNBOUNDED, and the
-checks), and reads a spec on 1..N as the per-prime tables words use
-(`words._PrimeMaps`, by _spec_tables): its map's one fast path, which
+checks), and reads a spec as the per-prime value words use
+(`words._PrimeMaps`, by _spec_map): a bounded table with a constant tail,
+an unbounded one with none. It is its map's one fast path, which
 compiler.verify_compile also compares with a word's.
 
 Every map the library builds has its point rule and at most one fast path
@@ -239,42 +240,31 @@ def apply_spec(spec: ExponentSpec, n: int) -> int:
     return out * rest
 
 
-def _spec_tables(spec: ExponentSpec, max_n: int) -> _PrimeMaps:
-    """A spec on 1..max_n as per-prime tables: a bounded function repeats
-    its last value, and an unbounded table ends where its values do. A spec
-    prime above max_n keeps its value at exponent 0."""
-    tables = {}
-    for p, fn in spec.functions.items():
-        length = _PrimeMaps._length(p, max_n)
-        table = tables[p] = list(fn.values[:length])
-        if fn.shape == BOUNDED:
-            table += table[-1:] * (length - len(table))
-    return _PrimeMaps(tables, max_n)
-
-
 def _spec_map(spec: ExponentSpec) -> Callable[[int], int]:
-    """The map a spec describes, with its tables as its fast path. A short
-    unbounded table first fails at n = p**(bound + 1), the smallest such
-    power: a range read gives the values before it, then the same
+    """The map a spec describes, with its tables as its fast path: a bounded
+    function's values with a constant tail, an unbounded one's with none. A
+    short unbounded table first fails at n = p**(bound + 1), the smallest
+    such power: a range read gives the values before it, then the same
     TableRangeError that apply_spec raises there."""
-    return _RangeMap(lambda n: apply_spec(spec, n), tables=lambda max_n: _spec_tables(spec, max_n))
+    maps = _PrimeMaps({p: (list(fn.values), 0 if fn.shape == BOUNDED else None)
+                       for p, fn in spec.functions.items()})
+    return _RangeMap(lambda n: apply_spec(spec, n), tables=lambda max_n: maps)
 
 
 def _tables(f: Callable[[int], int], max_n: int) -> dict[int, list[int]] | None:
-    """f's exponent tables {p: table} on 1..max_n, when f carries them there
-    (word, spec and generator maps, and the CLI's `identity` and `mul:C`),
-    every table covers the exponents v with p**v <= max_n (no unbounded
-    spec table ends short) and every table is non-decreasing; else None,
-    and the consumer reads f's values."""
+    """f's exponent tables {p: table} cut to 1..max_n (_PrimeMaps.cut), when
+    f carries them there (word, spec and generator maps, and the CLI's
+    `identity` and `mul:C`), every table covers the exponents v with
+    p**v <= max_n (no unbounded spec table ends short) and every table is
+    non-decreasing; else None, and the consumer reads f's values."""
     maps = f.tables(max_n) if isinstance(f, _RangeMap) else None
     if maps is None:
         return None
-    for p, table in maps.tables.items():
-        if len(table) < _PrimeMaps._length(p, max_n) or any(
-            a > b for a, b in zip(table, table[1:])
-        ):
+    tables = maps.cut(max_n)
+    for p, table in tables.items():
+        if p ** len(table) <= max_n or any(a > b for a, b in zip(table, table[1:])):
             return None
-    return maps.tables
+    return tables
 
 
 def spec_from_word(word: Word, max_prime: int, max_level: int) -> ExponentSpec:
@@ -296,8 +286,9 @@ def spec_from_word(word: Word, max_prime: int, max_level: int) -> ExponentSpec:
     stray = [p for p in word.primes() if p > max_prime]
     if stray:
         raise ValueError(f"word touches primes {sorted(stray)} above {max_prime}")
-    tables = _PrimeMaps.tabulate(word, primes_up_to(max_prime), max_level)
-    return ExponentSpec({p: ExponentFunction.unbounded(table) for p, table in tables.items()})
+    maps = _PrimeMaps.from_parts(word._parts)
+    return ExponentSpec({p: ExponentFunction.unbounded(maps.read(p, max_level + 1))
+                         for p in primes_up_to(max_prime)})
 
 
 @dataclass(frozen=True)

@@ -291,13 +291,13 @@ class _RangeMap:
     """A map on n >= 1 built by the library, with at most one fast path
     beside its point rule `point(n)` (calling the map maps one n). A map
     that acts prime by prime has the table path `tables(max_n)`, its
-    words._PrimeMaps on 1..max_n, from which its values and its answers
-    are read: word, spec and generator maps, and the CLI's `identity` and
-    `mul:C`, whose tables(max_n) is None at an N where C's primes are not
-    known (see cli.parse_map). The CLI's power maps `pow:B` and `nn` have
-    the residue path `residues(max_n, modulus)`, which lists f(1..max_n)
-    mod modulus without building the powers, and no tables: at every N
-    their tables(max_n) is None."""
+    words._PrimeMaps, which consumers cut to 1..max_n to read its values
+    and answers: word, spec and generator maps, built once per map, and
+    the CLI's `identity` and `mul:C`, whose tables(max_n) is None at an N
+    where C's primes are not known (see cli.parse_map). The CLI's power
+    maps `pow:B` and `nn` have the residue path `residues(max_n,
+    modulus)`, which lists f(1..max_n) mod modulus without building the
+    powers, and no tables: at every N their tables(max_n) is None."""
 
     __slots__ = ("point", "residues", "tables")
 
@@ -331,7 +331,7 @@ def _map_values(f: Callable[[int], int], max_n: int,
     """
     if isinstance(f, _RangeMap):
         maps = f.tables(max_n)
-        values = [] if maps is None else maps.values()
+        values = [] if maps is None else maps.values(max_n)
         yield from values
         yield from map(f.point, range(len(values) + 1, max_n + 1))
         return

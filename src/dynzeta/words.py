@@ -19,10 +19,11 @@ exponent tables (_PrimeMaps) are identity tables rewritten by them
 bumps first, then caps (_normal_word). A word folds its parts once and
 keeps them (Word._parts); a word assembled from parts starts with them.
 
-_PrimeMaps is the per-prime value that words and exponent specs share (a
-spec's tables are read by exponents, which owns the spec format). Range
-evaluation, prefix equality and the compile check read the tables, and so
-do the consumers of a word's map: its tables are its one fast path
+_PrimeMaps is the per-prime value that words and exponent specs share: a
+table and its tail per prime, whatever N (a spec's is read by exponents,
+which owns the spec format). Range evaluation, prefix equality and the
+compile check read it cut to 1..N (_PrimeMaps.cut), and so do the
+consumers of a word's map: its tables are its one fast path
 (Word.as_map). Equality is still only tested on a prefix 1..N, and a
 disagreement is returned as the smallest witness (first_difference).
 
@@ -42,7 +43,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .arith import is_prime, primes_up_to
 from .series import _RangeMap
@@ -149,10 +150,10 @@ class Word:
         return _word_parts(self)
 
     def as_map(self) -> Callable[[int], int]:
-        """The word as a map; consumers that need 1..max_n read its exponent
-        tables on 1..max_n, its values included."""
-        return _RangeMap(lambda n: eval_word(self, n),
-                         tables=lambda max_n: _PrimeMaps.from_word(self, max_n))
+        """The word as a map, its exponent tables built once as its fast
+        path: consumers that need 1..max_n read them, its values included."""
+        maps = _PrimeMaps.from_parts(self._parts)
+        return _RangeMap(lambda n: eval_word(self, n), tables=lambda max_n: maps)
 
     def __repr__(self):
         return "Word[" + " ".join(repr(g) for g in self.gens) + "]"
@@ -189,20 +190,18 @@ def _part_table(table: list[int], levels: Iterable[int], cap: int | None) -> lis
 
 
 class _PrimeMaps(NamedTuple):
-    """A map on 1..max_n that acts prime by prime, as {p: exponent table}.
+    """A map on n >= 1 that acts prime by prime, as {p: (table, tail)}.
 
     Entry v of the table of p is v_p of the image of every n with
-    v_p(n) == v; a prime without a table keeps its exponents. The table of
-    p covers the exponents v with p**v <= max_n, except that an unbounded
-    spec table is read only as far as it goes. Built from a word by
-    from_word, from a spec by exponents._spec_tables and for the CLI's
-    `identity` and `mul:C` by cli._mul_tables; it is the one fast path of
-    these maps, and word maps evaluate ranges and compare prefixes
-    through it.
+    v_p(n) == v; a prime without a table keeps its exponents. Past the
+    table each exponent adds tail to the entry before: 1 (a word without a
+    cap, `mul:C`), 0 (a cap, a bounded spec) or None, no entry (an
+    unbounded spec). Built from a word by from_parts, from a spec by
+    exponents._spec_map and for the CLI's `identity` and `mul:C` by
+    cli._mul_tables, it is these maps' one fast path, read on 1..N by cut.
     """
 
-    tables: dict[int, list[int]]
-    max_n: int
+    tables: dict[int, tuple[list[int], int | None]]
 
     @staticmethod
     @lru_cache(maxsize=1024)
@@ -216,24 +215,31 @@ class _PrimeMaps(NamedTuple):
         return v
 
     @classmethod
-    def from_word(cls, word: Word, max_n: int) -> "_PrimeMaps":
-        """The word on 1..max_n, one table per prime it touches: the identity
-        on the v with p**v <= max_n, rewritten by the prime's part of the
-        word's normal form."""
-        length = cls._length
-        return cls({p: _part_table(list(range(length(p, max_n))), levels, cap)
-                    for p, levels, cap in word._parts}, max_n)
+    def from_parts(cls, parts: _Parts) -> "_PrimeMaps":
+        """A normal form's map, one table per prime it touches: the identity
+        up to one past the part's top level, rewritten by the part. Every
+        exponent past it keeps its value under the bumps and drops to the
+        cap, so the tail is 0 with a cap and 1 without."""
+        return cls({p: (_part_table(list(range(max((*levels, cap or 0)) + 2)), levels, cap),
+                        1 if cap is None else 0)
+                    for p, levels, cap in parts})
 
-    @staticmethod
-    def tabulate(word: Word, primes: Sequence[int], max_level: int) -> dict[int, list[int]]:
-        """The word's table of each of primes on exponents 0..max_level: the
-        one coverage that is not a prefix 1..N (spec_from_word's). primes
-        hold every prime the word touches."""
-        parts = {p: (levels, cap) for p, levels, cap in word._parts}
-        return {p: _part_table(list(range(max_level + 1)), *parts.get(p, ((), None)))
-                for p in primes}
+    def read(self, p: int, length: int) -> list[int]:
+        """Entries 0..length - 1 of the table of p, read on into its tail;
+        fewer when it has no tail and ends first."""
+        table, tail = self.tables.get(p, ([0], 1))  # the identity
+        extra = length - len(table)
+        if extra <= 0 or tail is None:
+            return table[:length]
+        last = table[-1]
+        return table + (list(range(last + 1, last + 1 + extra)) if tail else [last] * extra)
 
-    def values(self) -> list[int]:
+    def cut(self, max_n: int) -> dict[int, list[int]]:
+        """The tables on 1..max_n: the entries v with p**v <= max_n of each
+        table, fewer when one without a tail ends short."""
+        return {p: self.read(p, self._length(p, max_n)) for p in self.tables}
+
+    def values(self, max_n: int) -> list[int]:
         """Values on 1..max_n (index 0 holds the image of 1), or on 1..n - 1
         when a table ends short and n = p**len(table) <= max_n is the
         smallest point it misses.
@@ -244,10 +250,11 @@ class _PrimeMaps(NamedTuple):
         Nothing is rewritten below the first exponent v0 the table moves, so
         the pass costs about max_n / p**v0 products. Every division is exact.
         """
-        ends = [p ** len(table) for p, table in self.tables.items()]
-        stop = min([n - 1 for n in ends if n <= self.max_n], default=self.max_n)
+        tables = self.cut(max_n)
+        ends = [p ** len(table) for p, table in tables.items()]
+        stop = min([n - 1 for n in ends if n <= max_n], default=max_n)
         vals = list(range(1, stop + 1))
-        for p, table in self.tables.items():
+        for p, table in tables.items():
             shift = 0  # the exponent shift already applied to multiples of p**v
             q = 1
             for v, image in enumerate(table):
@@ -262,15 +269,15 @@ class _PrimeMaps(NamedTuple):
                 q *= p
         return vals
 
-    def first_difference(self, other: "_PrimeMaps", bounds: Mapping[int, int]) -> int | None:
-        """The smallest p**v at which the tables of p differ or one ends,
-        keeping for each prime p in bounds only the v <= bounds[p]; None
-        when there is none. A prime one side lacks has the identity table
-        there. Both sides cover the same 1..max_n, so p**v <= max_n."""
+    def first_difference(self, other: "_PrimeMaps", bounds: Mapping[int, int],
+                         max_n: int) -> int | None:
+        """The smallest p**v <= max_n at which the tables of p differ or one
+        ends, keeping for each prime p in bounds only the v <= bounds[p];
+        None when there is none."""
         points = []
         for p in self.tables.keys() | other.tables.keys():
-            identity = range(self._length(p, self.max_n))
-            left, right = self.tables.get(p, identity), other.tables.get(p, identity)
+            length = self._length(p, max_n)
+            left, right = self.read(p, length), other.read(p, length)
             v = next((v for v, (a, b) in enumerate(zip(left, right)) if a != b),
                      min(len(left), len(right)))
             if v < max(len(left), len(right)) and v <= bounds.get(p, v):
@@ -287,7 +294,7 @@ def eval_range(word: Word, max_n: int) -> list[int]:
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    return _PrimeMaps.from_word(word, max_n).values()
+    return _PrimeMaps.from_parts(word._parts).values(max_n)
 
 
 @dataclass(frozen=True)
@@ -310,7 +317,8 @@ def equal_upto(w1: Word, w2: Word, max_n: int) -> Witness | None:
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    n = _PrimeMaps.from_word(w1, max_n).first_difference(_PrimeMaps.from_word(w2, max_n), {})
+    left, right = (_PrimeMaps.from_parts(w._parts) for w in (w1, w2))
+    n = left.first_difference(right, {}, max_n)
     if n is None:
         return None
     return Witness(n, eval_word(w1, n), eval_word(w2, n))

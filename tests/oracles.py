@@ -288,6 +288,21 @@ def per_generator_tables(gens, max_n, tables=None):
     return tables
 
 
+def spec_tables_upto(functions, max_n):
+    """The tables on 1..max_n of the spec with functions (prime -> (shape,
+    values)), read for this max_n alone: each covers the v with
+    p**v <= max_n, a bounded table padded with its last value and an
+    unbounded one stopped short where its values end, so a prime above
+    max_n keeps its entry 0."""
+    tables = {}
+    for p, (shape, values) in functions.items():
+        length = len([v for v in range(max_n.bit_length() + 1) if p**v <= max_n])
+        table = tables[p] = list(values[:length])
+        if shape == "bounded":
+            table += [values[-1]] * (length - len(table))
+    return tables
+
+
 def scan_equal_upto(gens1, gens2, max_n):
     """(n, left, right) at the first n <= max_n where the two words differ,
     by scanning both ranges; None when they agree on 1..max_n."""

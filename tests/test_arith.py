@@ -71,6 +71,15 @@ def test_trial_division_never_divides_past_its_bound():
     assert _trial_division(10007 * 10009, 10007) == ([(10007, 1)], 10009)
 
 
+def test_trial_division_stops_at_a_prime_cofactor():
+    # a prime cofactor of any size ends the division at once, far below
+    # the bound
+    c = 10**25 + 13
+    assert _trial_division(c, 10**12) == ([], c)
+    assert _trial_division(12 * c, 10**12) == ([(2, 2), (3, 1)], c)
+    assert factorize(12 * c) == [(2, 2), (3, 1), (c, 1)]
+
+
 @pytest.mark.parametrize("p, n, expected", [(2, 8, 3), (3, 8, 0), (2, 46656, 6)])
 def test_valuation_examples(p, n, expected):
     assert valuation(p, n) == expected
@@ -138,3 +147,13 @@ def test_is_prime_brute_force_agreement():
 
     for n in range(0, 2000):
         assert is_prime(n) == naive(n)
+
+
+def test_is_prime_rejects_the_strong_pseudoprime_to_the_bases_up_to_37():
+    # psi_12 passes the strong test to every prime base up to 37; base 41
+    # exposes it, and the primes up to 41 are still prime
+    psi_12 = 318665857834031151167461
+    assert psi_12 == 399165290221 * 798330580441
+    assert not is_prime(psi_12)
+    assert is_prime(399165290221) and is_prime(798330580441)
+    assert [p for p in range(2, 44) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]

@@ -324,6 +324,11 @@ ERROR_FILES = {
             "unknown generator kind 'x'",
         ),
         (["spec-compile", "{twice_spec}"], "prime 2 is keyed twice in 'primes'"),
+        (
+            # a strong pseudoprime to every prime base up to 37
+            ["preimage", "--map", "gen:g:318665857834031151167461:0", "--k", "2", "--max-n", "10"],
+            "318665857834031151167461 is not prime",
+        ),
     ],
 )
 def test_library_errors_exit_2_with_their_message(capsys, tmp_path, argv, message):

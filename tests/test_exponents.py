@@ -31,6 +31,7 @@ from oracles import (
     pointwise_preimage,
     pointwise_values,
     random_valid_spec_tables,
+    spec_tables_upto,
 )
 
 B, C = Generator.bump, Generator.cap
@@ -357,6 +358,24 @@ class TestDivisibilityAgainstQuadraticScan:
     def test_one_corrupted_value_of_identity(self, where, factor):
         values = [n * factor if n == where else n for n in range(1, 301)]
         assert _counterexamples(values) == divisibility_counterexamples(values)
+
+
+class TestSpecCut:
+    # a spec's value carries a constant tail when bounded and none when
+    # unbounded; cut to 1..max_n it must give the reference's per-N
+    # reading, whatever the shape or order of the values
+    @given(
+        st.dictionaries(
+            st.sampled_from([2, 3, 5, 7, 11, 101, 10007]),
+            st.tuples(st.sampled_from(["bounded", "unbounded"]),
+                      st.lists(st.integers(0, 40), min_size=1, max_size=10)),
+        ),
+        st.one_of(st.integers(1, 3000), st.sampled_from([10**12, 10**30])),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_cut_matches_the_per_n_reading(self, functions, max_n):
+        maps = _spec_map(build_spec(functions)).tables(max_n)
+        assert maps.cut(max_n) == spec_tables_upto(functions, max_n)
 
 
 # members of the monoid on 1..max_n: C * n**b, words, and valid specs whose

@@ -216,9 +216,10 @@ class TestMulTables:
     """`identity` and `mul:C` answer from the tables v -> v + v_p(C), and
     give the results and CLI bytes of the plain callable n -> C * n."""
 
-    # C = 101 is a prime above some max_n, 10007 one above all; 10007 *
-    # 10009 >= (max_n + 1)**2 for every max_n here, so it has no tables
-    FACTORS = (1, 2, 12, 101, 10007, 10007 * 10009)
+    # C = 101 is a prime above some max_n, 10007 and 10**25 + 13 above all;
+    # 10007 * 10009 >= (max_n + 1)**2 for every max_n here, so it has no
+    # tables
+    FACTORS = (1, 2, 12, 101, 10007, 10007 * 10009, 10**25 + 13)
 
     @pytest.mark.parametrize("c", FACTORS)
     @pytest.mark.parametrize("max_n", [1, 7, 100, 300])
@@ -260,13 +261,13 @@ class TestMulTables:
             assert got == expected, name
 
     def test_tables(self):
-        assert parse_map("identity").tables(100).tables == {}
-        assert parse_map("mul:1").tables(100).tables == {}
-        assert parse_map("mul:12").tables(30).tables == {2: [2, 3, 4, 5, 6], 3: [1, 2, 3, 4]}
+        assert parse_map("identity").tables(100).cut(100) == {}
+        assert parse_map("mul:1").tables(100).cut(100) == {}
+        assert parse_map("mul:12").tables(30).cut(30) == {2: [2, 3, 4, 5, 6], 3: [1, 2, 3, 4]}
         # a prime cofactor left when d * d passes it, and one above max_n
-        assert parse_map("mul:101").tables(300).tables == {101: [1, 2]}
-        assert parse_map("mul:202").tables(100).tables == {2: [1, 2, 3, 4, 5, 6, 7], 101: [1]}
-        assert parse_map(f"mul:{10007 * 10009}").tables(10007).tables == {10007: [1, 2], 10009: [1]}
+        assert parse_map("mul:101").tables(300).cut(300) == {101: [1, 2]}
+        assert parse_map("mul:202").tables(100).cut(100) == {2: [1, 2, 3, 4, 5, 6, 7], 101: [1]}
+        assert parse_map(f"mul:{10007 * 10009}").tables(10007).cut(10007) == {10007: [1, 2], 10009: [1]}
 
     def test_a_cofactor_that_is_not_split_is_read_by_its_point_rule(self):
         # 10007 * 10009 >= 101**2: C is divided by the primes <= 100 only,
@@ -289,6 +290,16 @@ class TestMulTables:
         report = membership_test(parse_map("mul:2"), 24, big)
         assert not report.refuted and report.certificate is not None
         assert membership_test(parse_map("identity"), 24, big).certificate == ExponentSpec({})
+
+    def test_a_prime_factor_of_any_size_is_keyed(self, capsys):
+        # C is prime, so its division stops at once instead of running
+        # through the candidates <= max_n
+        c, big = 10**25 + 13, 10**12
+        assert parse_map(f"mul:{c}").tables(big).cut(big) == {c: [1]}
+        assert parse_map(f"mul:{2 * c}").tables(100).cut(100) == {2: [1, 2, 3, 4, 5, 6, 7], c: [1]}
+        assert main(["preimage", "--map", f"mul:{c}", "--k", "4", "--max-n", str(big)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"outcome": "progression", "k": 4, "max_n": big, "step": 4}
 
 
 class TestRangePathIsTaken:
@@ -369,6 +380,14 @@ class TestShortTablesInEveryConsumer:
         assert got == (
             "raised", TableRangeError, "table for prime 2 covers exponents 0..3, asked for 4"
         )
+
+    def test_at_the_failing_n_every_consumer_raises(self):
+        # max_n = 16 = 2**4 is the first point the table of 2 misses
+        f = _spec_map(self.SPEC)
+        for consume in (lambda: membership_test(f, 12, 16), lambda: preimage_structure(f, 4, 16),
+                        lambda: check_divisibility_properties(f, 16)):
+            with pytest.raises(TableRangeError):
+                consume()
 
     def test_below_the_failing_n_all_consumers_run(self):
         f = _spec_map(self.SPEC)
