@@ -6,8 +6,9 @@ cap(p, t) cuts the p-part down to p^t. Both preserve realizability under
 time-change, and finite words over them approximate a rich family of maps.
 
 Caps commute with everything except the same-prime same-level bump, where
-pushing the cap past the bump raises its level by one. That is enough to
-drive every word into a bumps-then-caps normal form.
+pushing the cap past the bump raises its level by one. Every word has a
+canonical bumps-then-caps normal form, the shortest word with its map:
+two words are equal everywhere exactly when their normal forms are equal.
 """
 
 from dynzeta import (
@@ -52,3 +53,11 @@ print("a random word and its normal form:")
 print("  word       :", word)
 print("  normal form:", reduced)
 print("  equal up to 10^4:", equal_upto(word, reduced, 10**4) is None)
+print()
+
+left, right = Word((B(3, 2), C(3, 0), C(5, 1))), Word((C(3, 0), C(5, 1)))
+print("the cap(3,0) erases the bump(3,2) before it, so these words are equal:")
+print("  left  :", left, " normal form:", normal_form(left))
+print("  right :", right, " normal form:", normal_form(right))
+print("  equal up to 10^30:", equal_upto(left, right, 10**30) is None,
+      " same normal form:", normal_form(left) == normal_form(right))

@@ -4,7 +4,9 @@ function, divisor and prime enumeration.
 Everything runs on plain Python integers, so all values are arbitrary
 precision. Factorization is trial division, which stops once the cofactor
 is prime. The primality test is Miller-Rabin to the prime bases up to 41,
-proven correct only below psi_13 = 3317044064679887385961981.
+which is proven correct below psi_13 = 3317044064679887385961981; from
+psi_13 on, a strong Lucas test follows, which makes it the Baillie-PSW
+test: no composite is known to pass it, though none is proven not to.
 """
 
 from __future__ import annotations
@@ -23,12 +25,15 @@ __all__ = [
 
 # The primes up to 41: is_prime's trial divisors and its Miller-Rabin bases
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The least strong pseudoprime to all of them (= 1287836182261 * 2575672364521)
+_PSI_13 = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
     """Primality of n >= 0: trial division, then strong probable-prime
-    tests, both by the primes up to 41. Proven only below psi_13 =
-    3317044064679887385961981, the least strong pseudoprime to them all."""
+    tests, both by the primes up to 41, which decide every n below psi_13
+    = 3317044064679887385961981; from psi_13 on, also the strong Lucas
+    test (Baillie-PSW)."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -49,7 +54,61 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI_13 or _strong_lucas(n)
+
+
+def _strong_lucas(n: int) -> bool:
+    """The strong Lucas probable-prime test of an odd n > 41 with Selfridge's
+    parameters: D the first of 5, -7, 9, -11, ... with Jacobi symbol
+    (D/n) = -1, P = 1 and Q = (1 - D) / 4. With n + 1 = d * 2**s, d odd, n
+    passes when U_d = 0 or V_(d * 2**r) = 0 for some 0 <= r < s (mod n).
+    A square has no such D, and is composite."""
+    if isqrt(n) ** 2 == n:
+        return False
+    d = 5
+    while (j := _jacobi(d, n)) != -1:
+        if j == 0:
+            return False  # |D| < n shares a factor with n
+        d = -d - 2 if d > 0 else -d + 2
+    q = (1 - d) // 4
+    k, s = n + 1, 0
+    while k % 2 == 0:
+        k //= 2
+        s += 1
+
+    def half(x: int) -> int:
+        x %= n
+        return (x + n if x % 2 else x) // 2
+
+    # U_m, V_m and Q**m mod n for m = the leading bits of k, from m = 1
+    u, v, qm = 1, 1, q % n
+    for bit in bin(k)[3:]:
+        u, v, qm = u * v % n, (v * v - 2 * qm) % n, qm * qm % n  # m -> 2m
+        if bit == "1":
+            u, v, qm = half(u + v), half(d * u + v), qm * q % n  # m -> m + 1
+    if u == 0:
+        return True
+    for _ in range(s):
+        if v == 0:
+            return True
+        v, qm = (v * v - 2 * qm) % n, qm * qm % n
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

@@ -1,20 +1,23 @@
 """Compile a valid exponent spec into a generator word, together with the
 explicit agreement set on which the word provably equals the target map.
 
-Per prime, raising exponent t to its target is the job of the block
+Per prime, a valid spec's table is non-decreasing and at or above its
+index until it reaches its eventual value, so it is the exponent table of
+a word, and compile_spec builds the shortest one (words._PrimeMaps.word):
+for each value c that the table first reaches at an index a < c, in
+descending c, the run
 
-    bump(p, t), bump(p, t+1), ..., bump(p, target(t) - 1)
+    bump(p, a), bump(p, a+1), ..., bump(p, c - 1)
 
-which multiplies n by p**(target(t) - t) exactly when the valuation of n is
-t. Blocks for one prime are applied in descending t. Order matters: applied
-ascending, a low block can raise a valuation into the firing range of a
-later block and overshoot (targets 3 at exponent 1 and 5 at exponent 2
-collide at level 3). Applied descending, a block only ever fires on
-valuations it owns, because earlier blocks aim at strictly larger levels
-and later blocks stay strictly below this block's target.
+which raises a to c and takes along every exponent after a that ends at c.
+Order matters: a bump moves every exponent at its level, so taken
+ascending, a low run can lift an exponent into a later run's levels and
+overshoot (targets 3 at exponent 1 and 5 at exponent 2 collide at level 3).
+Taken descending, the exponents that end higher already stand above c and
+those that end lower still stand below a.
 
 Bounded shapes additionally append a cap at the eventual value M after all
-blocks. The cap is a no-op on exponents the blocks already settled (their
+bumps. The cap is a no-op on exponents the bumps already settled (their
 targets are <= M) and sends every larger exponent to M, so the compiled word
 is exact for all n on bounded and defaulted primes. Unbounded tables promise
 nothing beyond their range; the agreement set records that honestly instead
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 from .arith import is_prime
 from .exponents import BOUNDED, ExponentSpec, SpecViolation, _spec_map, apply_spec, validate_spec
-from .words import Generator, Word, _normal_word, eval_word
+from .words import Generator, Word, eval_word
 
 __all__ = [
     "InvalidSpecError",
@@ -71,34 +74,15 @@ def block_gadget(prime: int, level: int, target: int) -> Word:
 
 
 def compile_spec(spec: ExponentSpec) -> CompileResult:
-    """Compile a valid spec into a word: per prime (ascending), blocks in
-    descending level order; caps for bounded primes collected at the end.
-
-    The caps commute with every other prime's bumps, so gathering them last
-    keeps the word in bumps-then-caps shape without changing its meaning.
-    Each prime's blocks and cap are its part of a normal form, assembled as
-    normal_form assembles its own, so a compiled word is a normal form.
-    """
+    """Compile a valid spec into the shortest word with its tables: bumps
+    per prime (ascending), then the caps of the bounded primes. The word is
+    its own normal form."""
     violations = validate_spec(spec)
     if violations:
         raise InvalidSpecError(violations)
-    parts = []
-    agreement: dict[int, int] = {}
-    for p, fn in spec.functions.items():
-        cap = None
-        if fn.shape == BOUNDED:
-            cap = fn.eventual
-            top = len(fn.values) - 1
-            while top > 0 and fn.values[top - 1] == cap:
-                top -= 1
-        else:
-            top = agreement[p] = fn.table_bound
-        # the bump levels of block_gadget(p, t, fn.value(t)), t descending;
-        # validity puts each target at or above t
-        levels = [level for t in range(top, -1, -1) for level in range(t, fn.value(t))]
-        if levels or cap is not None:  # a normal form has no empty part
-            parts.append((p, tuple(levels), cap))
-    return CompileResult(_normal_word(tuple(parts)), agreement)
+    agreement = {p: fn.table_bound for p, fn in spec.functions.items() if fn.shape != BOUNDED}
+    # a spec's tables are the same for every N
+    return CompileResult(_spec_map(spec).tables(1).word(), agreement)
 
 
 @dataclass(frozen=True)
@@ -130,8 +114,7 @@ def verify_compile(result: CompileResult, spec: ExponentSpec, max_n: int) -> Mis
             raise ValueError(f"{p} is not prime")
     if any(bound < 0 for bound in result.agreement.values()):
         return None  # no n is admitted
-    word = result.word.as_map().tables(max_n)
-    n = word.first_difference(_spec_map(spec).tables(max_n), result.agreement, max_n)
+    n = result.word._maps.first_difference(_spec_map(spec).tables(max_n), result.agreement, max_n)
     if n is None:
         return None
     return Mismatch(n, eval_word(result.word, n), apply_spec(spec, n))

@@ -286,8 +286,7 @@ def spec_from_word(word: Word, max_prime: int, max_level: int) -> ExponentSpec:
     stray = [p for p in word.primes() if p > max_prime]
     if stray:
         raise ValueError(f"word touches primes {sorted(stray)} above {max_prime}")
-    maps = _PrimeMaps.from_parts(word._parts)
-    return ExponentSpec({p: ExponentFunction.unbounded(maps.read(p, max_level + 1))
+    return ExponentSpec({p: ExponentFunction.unbounded(word._maps.read(p, max_level + 1))
                          for p in primes_up_to(max_prime)})
 
 

@@ -11,29 +11,29 @@ rendering in the usual right-to-left composition notation must reverse the
 list.
 
 A word therefore acts prime by prime: the generators of prime p send v_p(n)
-through a map on exponents that ignores every other prime. Its normal form
-gives that map as one part per prime (the levels of p's bumps in order, then
-at most one cap), and each value is built from the parts one way: a word's
-exponent tables (_PrimeMaps) are identity tables rewritten by them
-(_part_table), and a form's word, compile_spec's too, is them assembled
-bumps first, then caps (_normal_word). A word folds its parts once and
-keeps them (Word._parts); a word assembled from parts starts with them.
+through a map on exponents that ignores every other prime. A word folds its
+generators once into the exponent tables of that map (Word._maps, a
+_PrimeMaps): a bump at level t raises the entries equal to t by one, a cap
+at t lowers every entry above t to t. One rule builds a word back from such
+tables (_PrimeMaps.word): the shortest word with their map, bumps first,
+then caps. It depends on the map alone, so the normal form it gives is
+canonical, and compile_spec builds its words with it from a spec's tables.
 
 _PrimeMaps is the per-prime value that words and exponent specs share: a
 table and its tail per prime, whatever N (a spec's is read by exponents,
 which owns the spec format). Range evaluation, prefix equality and the
 compile check read it cut to 1..N (_PrimeMaps.cut), and so do the
 consumers of a word's map: its tables are its one fast path
-(Word.as_map). Equality is still only tested on a prefix 1..N, and a
-disagreement is returned as the smallest witness (first_difference).
+(Word.as_map). equal_upto decides equality on a prefix 1..N and returns a
+disagreement as the smallest witness (first_difference); two words are
+equal at every n exactly when their normal forms are identical.
 
 Every generator built is checked: the internal paths build theirs through
 _generator, which checks each distinct generator once and shares it.
 
 The CLI's relation search (_coincidences) makes one pass per drawn word on
-plain (kind, prime, level) values: random_word's draw loop, normal_form's
-rule folding the draw into per-prime parts, and the same table rule on
-these parts, with each prime's keys taken in the same loop. It builds
+plain (kind, prime, level) values: random_word's draw loop, the fold into
+per-search tables, and their keys, taken in the same loop. It builds
 Generator and Word objects only for the pairs it reports.
 """
 
@@ -144,16 +144,17 @@ class Word:
         return {g.prime for g in self.gens}
 
     @cached_property
-    def _parts(self) -> _Parts:
-        """The parts of the word's normal form, folded once per word (not a
-        field: equality and hash read gens alone)."""
-        return _word_parts(self)
+    def _maps(self) -> _PrimeMaps:
+        """The word's exponent tables, folded once per word (not a field:
+        equality and hash read gens alone), each reaching one past the
+        word's top level."""
+        size = max([g.level for g in self.gens], default=0) + 2
+        return _fold([(g.kind, g.prime, g.level) for g in self.gens], lambda p: list(range(size)))
 
     def as_map(self) -> Callable[[int], int]:
-        """The word as a map, its exponent tables built once as its fast
-        path: consumers that need 1..max_n read them, its values included."""
-        maps = _PrimeMaps.from_parts(self._parts)
-        return _RangeMap(lambda n: eval_word(self, n), tables=lambda max_n: maps)
+        """The word as a map, its exponent tables as its fast path:
+        consumers that need 1..max_n read them, its values included."""
+        return _RangeMap(lambda n: eval_word(self, n), tables=lambda max_n: self._maps)
 
     def __repr__(self):
         return "Word[" + " ".join(repr(g) for g in self.gens) + "]"
@@ -167,28 +168,6 @@ def eval_word(word: Word, n: int) -> int:
     return n
 
 
-# A normal form as plain values, one entry per prime it touches, by
-# ascending prime: (p, the levels of its bumps in application order, the
-# level of its cap or None). It gives the form's generators one to one.
-_Parts = tuple[tuple[int, tuple[int, ...], "int | None"], ...]
-
-
-def _part_table(table: list[int], levels: Iterable[int], cap: int | None) -> list[int]:
-    """table, the exponent table of a prime, rewritten in place by that
-    prime's part of a normal form: its bumps at levels, in order, then its
-    cap. A bump raises the entries equal to its level by one, a cap lowers
-    those above its level to it: both keep a table non-decreasing, so each
-    rewrites one run."""
-    for t in levels:
-        lo = bisect_left(table, t)
-        hi = bisect_right(table, t, lo)
-        table[lo:hi] = [t + 1] * (hi - lo)
-    if cap is not None:
-        lo = bisect_right(table, cap)
-        table[lo:] = [cap] * (len(table) - lo)
-    return table
-
-
 class _PrimeMaps(NamedTuple):
     """A map on n >= 1 that acts prime by prime, as {p: (table, tail)}.
 
@@ -196,7 +175,7 @@ class _PrimeMaps(NamedTuple):
     v_p(n) == v; a prime without a table keeps its exponents. Past the
     table each exponent adds tail to the entry before: 1 (a word without a
     cap, `mul:C`), 0 (a cap, a bounded spec) or None, no entry (an
-    unbounded spec). Built from a word by from_parts, from a spec by
+    unbounded spec). Folded from a word by _fold, from a spec by
     exponents._spec_map and for the CLI's `identity` and `mul:C` by
     cli._mul_tables, it is these maps' one fast path, read on 1..N by cut.
     """
@@ -213,16 +192,6 @@ class _PrimeMaps(NamedTuple):
             q *= p
             v += 1
         return v
-
-    @classmethod
-    def from_parts(cls, parts: _Parts) -> "_PrimeMaps":
-        """A normal form's map, one table per prime it touches: the identity
-        up to one past the part's top level, rewritten by the part. Every
-        exponent past it keeps its value under the bumps and drops to the
-        cap, so the tail is 0 with a cap and 1 without."""
-        return cls({p: (_part_table(list(range(max((*levels, cap or 0)) + 2)), levels, cap),
-                        1 if cap is None else 0)
-                    for p, levels, cap in parts})
 
     def read(self, p: int, length: int) -> list[int]:
         """Entries 0..length - 1 of the table of p, read on into its tail;
@@ -284,6 +253,60 @@ class _PrimeMaps(NamedTuple):
                 points.append(p**v)
         return min(points, default=None)
 
+    def word(self) -> Word:
+        """The shortest word with this map on the exponents the tables give:
+        per prime, by ascending prime, for each value c that the table first
+        reaches at an index a < c, in descending c, the bumps at levels
+        a..c - 1; then, by ascending prime, a cap at the last entry of each
+        table with tail 0. The tables must be non-decreasing and below their
+        index only in their constant tail, as a word's and a valid spec's
+        are. The word reads the map alone, so equal maps give one word.
+
+        It has the map: the run for c starts at a and takes along each
+        exponent that ends at c as it reaches its level, while those that
+        end higher already stand above c, those that end lower still stand
+        below a, and those the cap lowers stand above every bump's level. No
+        word with the map is shorter: a bump moves every exponent at its
+        level and exponents once equal stay equal, so exponents that end
+        apart never share a bump, exponent a needs c - a of them, and only
+        a cap makes a map eventually constant.
+        """
+        bumps, caps = [], []
+        for p in sorted(self.tables):
+            table, tail = self.tables[p]
+            runs = [(a, c) for a, c in enumerate(table) if a < c and (a == 0 or table[a - 1] != c)]
+            bumps += [_generator(BUMP, p, t) for a, c in reversed(runs) for t in range(a, c)]
+            if tail == 0:
+                caps.append(_generator(CAP, p, table[-1]))
+        return Word(tuple(bumps + caps))
+
+
+def _fold(gens: Iterable[tuple[str, int, int]],
+          identity: Callable[[int], list[int]]) -> _PrimeMaps:
+    """The map of the word whose generators are gens, as (kind, prime,
+    level) in application order. A prime's table starts as identity(p), a
+    fresh list that reaches one past every level of p, and each generator
+    rewrites its prime's table: a bump raises the entries equal to its
+    level by one, a cap lowers those above its level to it. Both keep a
+    table non-decreasing, so each rewrites one run. The exponents past the
+    table keep their value under every bump and drop to a cap like its
+    last entry, so the tail is 0 once the prime has a cap and 1 before."""
+    tables: dict[int, list[int]] = {}
+    capped = set()
+    for kind, p, t in gens:
+        table = tables.get(p)
+        if table is None:
+            table = tables[p] = identity(p)
+        if kind == CAP:
+            lo = bisect_right(table, t)
+            table[lo:] = [t] * (len(table) - lo)
+            capped.add(p)
+        else:
+            lo = bisect_left(table, t)
+            hi = bisect_right(table, t, lo)
+            table[lo:hi] = [t + 1] * (hi - lo)
+    return _PrimeMaps({p: (table, 0 if p in capped else 1) for p, table in tables.items()})
+
 
 def eval_range(word: Word, max_n: int) -> list[int]:
     """Values of a word on 1..max_n (index 0 holds the image of 1).
@@ -294,7 +317,7 @@ def eval_range(word: Word, max_n: int) -> list[int]:
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    return _PrimeMaps.from_parts(word._parts).values(max_n)
+    return word._maps.values(max_n)
 
 
 @dataclass(frozen=True)
@@ -317,65 +340,26 @@ def equal_upto(w1: Word, w2: Word, max_n: int) -> Witness | None:
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    left, right = (_PrimeMaps.from_parts(w._parts) for w in (w1, w2))
-    n = left.first_difference(right, {}, max_n)
+    n = w1._maps.first_difference(w2._maps, {}, max_n)
     if n is None:
         return None
     return Witness(n, eval_word(w1, n), eval_word(w2, n))
 
 
-def _normal_parts(gens: Iterable[tuple[str, int, int]]) -> _Parts:
-    """The normal form, as its parts, of the word whose generators are
-    gens, given as (kind, prime, level); the rule is normal_form's."""
-    bumps: dict[int, list[int]] = {}
-    caps: dict[int, int] = {}
-    for kind, p, t in gens:
-        if kind == CAP:
-            cur = caps.get(p)
-            if cur is None or t < cur:
-                caps[p] = t
-        else:
-            if caps.get(p) == t:
-                caps[p] = t + 1
-            levels = bumps.get(p)
-            if levels is None:
-                bumps[p] = [t]
-            else:
-                levels.append(t)
-    return tuple(
-        [(p, tuple(bumps.get(p, ())), caps.get(p)) for p in sorted(bumps.keys() | caps.keys())]
-    )
-
-
-def _word_parts(word: Word) -> _Parts:
-    """The parts of the word's normal form, folded from its generators
-    (Word._parts keeps them)."""
-    return _normal_parts([(g.kind, g.prime, g.level) for g in word.gens])
-
-
-def _normal_word(parts: _Parts) -> Word:
-    """The bumps-then-caps word of a normal form's parts, which are its own:
-    folding it gives them back, so they seed its Word._parts."""
-    gens = [_generator(BUMP, p, t) for p, levels, _ in parts for t in levels]
-    gens += [_generator(CAP, p, cap) for p, _, cap in parts if cap is not None]
-    word = Word(tuple(gens))
-    vars(word)["_parts"] = parts  # where cached_property keeps its value
-    return word
-
-
 def normal_form(word: Word) -> Word:
-    """Rewrite a word so every bump precedes every cap in application order.
+    """The canonical normal form of a word: the shortest word of any shape
+    with its map, built from its exponent tables (_PrimeMaps.word). Per
+    prime, bumps in descending final value, each run from the smallest
+    exponent that reaches it, then at most one cap; primes ascending, all
+    bumps before all caps.
 
-    Caps commute with everything except a bump of the same prime and level;
-    pushing a cap past such a bump raises the cap's level by one. Caps of one
-    prime collapse to the smallest level. Bumps are grouped by ascending
-    prime with their relative order per prime preserved (same-prime bumps do
-    not commute in general, so no order inside a prime block is canonical).
-
-    The result is semantically equal to the input; equality of distinct
-    normal forms is still possible and must be tested by evaluation.
+    It depends on the word's map alone, so two words are equal at every n
+    exactly when their normal forms are identical. The form starts with
+    the word's tables (Word._maps), which are its own.
     """
-    return _normal_word(word._parts)
+    form = word._maps.word()
+    vars(form)["_maps"] = word._maps  # where cached_property keeps its value
+    return form
 
 
 def is_normal_shape(word: Word) -> bool:
@@ -452,53 +436,66 @@ def _coincidences(seed: int, count: int, length: int, max_prime: int, max_level:
     the CLI's relation search.
 
     One pass per drawn word. Its generators are drawn as plain values and
-    folded into its normal form's parts, and each prime's exponent table on
-    1..max_n is built from its part by _PrimeMaps' rule (_part_table, on a
-    copy of an identity table kept per search) and keyed in the same loop.
-    The exact key holds the tables that are not the identity, by ascending
-    prime: two forms agree on 1..max_n exactly when their exact keys are
-    equal, since the value at n is read off the entries at v_p(n), and
-    n = p**v reads entry v of p alone. The bucket key is the exact key cut
-    to the p**v <= min(64, max_n). Forms are bucketed by it in first-seen
-    order and kept once per bucket by their parts; every pair in a bucket
-    with equal exact keys is returned, and words are built only for the
-    forms of these pairs, once each, from checked generators. The draw's
-    argument errors come at the first draw, then max_n below 1.
+    folded (_fold) into per-search tables, each prime's copied from an
+    identity that covers both its exponents on 1..max_n and one past
+    max_level, so two draws have equal tables and tails exactly when they
+    have the same map, i.e. the same normal form (no folded table is the
+    identity: its prime's first generator merges two entries). The exact
+    key holds the tables that are not the identity on 1..max_n, cut there,
+    by ascending prime: two forms agree on 1..max_n exactly when their
+    exact keys are equal, since the value at n is read off the entries at
+    v_p(n), and n = p**v reads entry v of p alone. The bucket key is the
+    same cut to the p**v <= min(64, max_n). Forms are bucketed by it in
+    first-seen order and kept once per bucket by their full tables; in a
+    bucket of two or more, every pair with equal exact keys is returned,
+    and words are built only for the forms of these pairs, once each, from
+    checked generators. The draw's argument errors come at the first draw,
+    then max_n below 1.
     """
     draws = _draws(seed, length, max_prime, max_level)
     length_of = _PrimeMaps._length
-    # p -> (its identity table on 1..max_n, the entries it keeps when cut
-    # to the p**v <= min(64, max_n))
-    sizes: dict[int, tuple[list[int], int]] = {}
-    # bucket key -> {parts -> exact key}, both in first-seen order; equal
-    # parts give equal keys, so a repeat meets its first sighting in the
-    # same bucket
-    buckets: dict[tuple, dict[_Parts, list]] = {}
+    # p -> (its identity table, then for 1..max_n and for 1..min(64, max_n)
+    # the entries it keeps there and the identity cut to them)
+    sizes: dict[int, tuple[list[int], tuple[int, tuple], tuple[int, tuple]]] = {}
+
+    def identity(p: int) -> list[int]:
+        size = sizes.get(p)
+        if size is None:
+            kept, cut = length_of(p, max_n), length_of(p, min(64, max_n))
+            table = list(range(max(kept, max_level + 2)))
+            size = sizes[p] = (table, (kept, tuple(table[:kept])), (cut, tuple(table[:cut])))
+        return size[0].copy()
+
+    def key(full: tuple, prefix: int) -> tuple:
+        """The tables of full cut to 1..max_n (prefix 1) or to
+        1..min(64, max_n) (prefix 2), leaving out the identity there."""
+        out = []
+        for p, table, _ in full:
+            length, ident = sizes[p][prefix]
+            if table[:length] != ident:
+                out.append((p, table[:length]))
+        return tuple(out)
+
+    # bucket key -> {full tables: None}, in first-seen order; equal maps give
+    # equal keys, so a repeat meets its first sighting in the same bucket
+    buckets: dict[tuple, dict[tuple, None]] = {}
     for _ in range(count):
-        parts = _normal_parts(next(draws))
+        gens = next(draws)
         if max_n < 1:
             raise ValueError("max_n must be >= 1")
-        exact, bucket = [], []
-        for p, levels, cap in parts:
-            size = sizes.get(p)
-            if size is None:
-                size = sizes[p] = (list(range(length_of(p, max_n))), length_of(p, min(64, max_n)))
-            identity, cut = size
-            table = _part_table(identity.copy(), levels, cap)
-            if table != identity:
-                exact.append((p, table))
-                if table[:cut] != identity[:cut]:
-                    bucket.append((p, tuple(table[:cut])))
-        buckets.setdefault(tuple(bucket), {}).setdefault(parts, exact)
-    built: dict[_Parts, Word] = {}  # the forms of the pairs found so far
+        tables = _fold(gens, identity).tables
+        full = tuple([(p, tuple(tables[p][0]), tables[p][1]) for p in sorted(tables)])
+        buckets.setdefault(key(full, 2), {})[full] = None
+    built: dict[tuple, Word] = {}  # the forms of the pairs found so far
     pairs = []
     for bucket in buckets.values():
-        forms = list(bucket.items())
-        for i, (left, key) in enumerate(forms):
+        forms = [(full, key(full, 1)) for full in bucket] if len(bucket) > 1 else []
+        for i, (left, exact) in enumerate(forms):
             for right, other in forms[i + 1 :]:
-                if key == other:
-                    for parts in (left, right):
-                        if parts not in built:
-                            built[parts] = _normal_word(parts)
+                if exact == other:
+                    for full in (left, right):
+                        if full not in built:
+                            maps = _PrimeMaps({p: (table, tail) for p, table, tail in full})
+                            built[full] = maps.word()
                     pairs.append((built[left], built[right]))
     return pairs

@@ -9,7 +9,10 @@ divisibility scan are the reference versions of the library's integer and
 multiples-walk kernels; the per-generator range passes, the scanning prefix
 equality and the per-n compile check are the reference versions of its
 per-prime exponent-table kernels, and the per-generator table rewrite is
-the reference version of its tables built from normal-form parts. The per-n
+the reference version of the fold of a word into its tables. The canonical
+form read off a word's images by per-generator evaluation is the reference
+version of the normal form built from its tables, and the per-index block
+compile of the compiled word built from a spec's tables. The per-n
 map consumers (membership probes, preimage structure, time-changed counts),
 with the factorizing prime-support scan of divisibility_counterexamples, are
 the reference versions of the consumers that take a map's values once, and
@@ -130,6 +133,68 @@ def naive_normal_form(gens):
         if kind == "h":
             lowest[p] = min(lowest.get(p, t), t)
     return bumps + [("h", p, lowest[p]) for p in sorted(lowest)]
+
+
+def naive_canonical_form(gens):
+    """The canonical normal form of the word with generators (kind, prime,
+    level), read off its images. For each prime p of the word, with top its
+    highest level there, e_v is the exponent of p in the image of p**v,
+    the generators applied one at a time, for v = 0..top + 2; past top
+    every exponent moves alike, so the prime is capped exactly when
+    e_(top+1) == e_(top+2). Then, per prime by ascending prime, for each
+    value c of the e_v from the largest down, with a the smallest v where
+    e_v == c, the bumps at levels a..c - 1; then, by ascending prime, a
+    cap at e_(top+2) for each capped prime."""
+
+    def apply(n):
+        for kind, q, t in gens:
+            v = 0
+            while n % q ** (v + 1) == 0:
+                v += 1
+            if kind == "g" and v == t:
+                n *= q
+            elif kind == "h" and v > t:
+                n //= q ** (v - t)
+        return n
+
+    def exponent(p, n):
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        return e
+
+    bumps, caps = [], []
+    for p in sorted({q for _, q, _ in gens}):
+        top = max(t for _, q, t in gens if q == p)
+        images = [exponent(p, apply(p**v)) for v in range(top + 3)]
+        for c in sorted(set(images), reverse=True):
+            a = images.index(c)
+            bumps += [("g", p, t) for t in range(a, c)]
+        if images[-1] == images[-2]:
+            caps.append(("h", p, images[-1]))
+    return bumps + caps
+
+
+def block_compile(functions):
+    """The generators (kind, prime, level) of the per-index block compile of
+    the valid spec with functions (prime -> (shape, values)): per prime,
+    ascending, for each index t from the top down the block of bumps at
+    levels t..values[t] - 1, where the top is the last index of an
+    unbounded table and, of a bounded one, the first index of the run of
+    its eventual value that ends it; then, by ascending prime, a cap at the
+    eventual value of each bounded prime."""
+    bumps, caps = [], []
+    for p in sorted(functions):
+        shape, values = functions[p]
+        top = len(values) - 1
+        if shape == "bounded":
+            while top > 0 and values[top - 1] == values[-1]:
+                top -= 1
+            caps.append(("h", p, values[-1]))
+        for t in range(top, -1, -1):
+            bumps += [("g", p, level) for level in range(t, values[t])]
+    return bumps + caps
 
 
 def random_orbit_counts(rng: random.Random, length: int, max_count: int = 3):
@@ -465,7 +530,8 @@ def public_random_word(seed, length, max_prime, max_level):
 
 def fingerprint_relation_search(seed, count, length, max_prime, max_level, max_n):
     """(exit code, stdout, stderr) of `dynzeta relation-search` by the
-    fingerprint algorithm: normal forms of the public draws are bucketed by
+    fingerprint algorithm: canonical forms of the public draws
+    (naive_canonical_form) are bucketed by
     their values on 1..min(64, max_n), kept once per bucket by a linear
     scan, and every pair in a bucket is compared on all of 1..max_n. The
     usage errors are the CLI's: --count below 0 first, then per draw the
@@ -487,7 +553,7 @@ def fingerprint_relation_search(seed, count, length, max_prime, max_level, max_n
             return usage(f"no primes <= {max_prime}")
         if length > 0 and max_level < 0:
             return usage("max_level must be >= 0")
-        nf = naive_normal_form(public_random_word(seed + i, length, max_prime, max_level))
+        nf = naive_canonical_form(public_random_word(seed + i, length, max_prime, max_level))
         if max_n < 1:
             return usage("max_n must be >= 1")
         bucket = buckets.setdefault(tuple(generator_pass_eval_range(nf, min(64, max_n))), [])

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dynzeta.arith import (
+    _strong_lucas,
     _trial_division,
     divisors,
     factorize,
@@ -157,3 +158,41 @@ def test_is_prime_rejects_the_strong_pseudoprime_to_the_bases_up_to_37():
     assert not is_prime(psi_12)
     assert is_prime(399165290221) and is_prime(798330580441)
     assert [p for p in range(2, 44) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
+
+
+def test_is_prime_rejects_the_strong_pseudoprime_to_the_bases_up_to_41():
+    # psi_13 passes the strong test to every prime base up to 41; the strong
+    # Lucas test that follows from psi_13 on exposes it
+    psi_13 = 3317044064679887385961981
+    assert psi_13 == 1287836182261 * 2575672364521
+    assert not is_prime(psi_13)
+    assert is_prime(1287836182261) and is_prime(2575672364521)
+
+
+@pytest.mark.parametrize(
+    "n, expected",
+    [
+        (2**89 - 1, True),
+        (2**107 - 1, True),
+        (2**127 - 1, True),
+        (2**521 - 1, True),
+        (10**25 + 13, True),
+        (2**89 + 1, False),
+        (2**127 + 1, False),
+        ((2**89 - 1) * (2**107 - 1), False),
+        ((2**61 - 1) ** 2, False),  # a square, which has no Lucas parameter
+    ],
+)
+def test_is_prime_above_psi_13(n, expected):
+    assert is_prime(n) is expected
+
+
+def test_strong_lucas_pseudoprimes_below_100000():
+    # the strong Lucas test alone, with Selfridge's parameters, passes every
+    # odd prime above 41 and, below 100000, exactly these composites (OEIS
+    # A217255)
+    passing = {n for n in range(43, 100000, 2) if _strong_lucas(n)}
+    primes = set(primes_up_to(100000)) - set(primes_up_to(41))
+    assert passing - primes == {5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309,
+                                58519, 75077, 97439}
+    assert primes <= passing

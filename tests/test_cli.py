@@ -329,6 +329,11 @@ ERROR_FILES = {
             ["preimage", "--map", "gen:g:318665857834031151167461:0", "--k", "2", "--max-n", "10"],
             "318665857834031151167461 is not prime",
         ),
+        (
+            # psi_13, a strong pseudoprime to every prime base up to 41
+            ["preimage", "--map", "gen:g:3317044064679887385961981:0", "--k", "2", "--max-n", "10"],
+            "3317044064679887385961981 is not prime",
+        ),
     ],
 )
 def test_library_errors_exit_2_with_their_message(capsys, tmp_path, argv, message):

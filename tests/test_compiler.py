@@ -16,7 +16,12 @@ from dynzeta.sequences import check_realizable
 from dynzeta.series import FixSource, time_change_fix
 from dynzeta.words import Generator, Word, eval_word, is_normal_shape, normal_form
 
-from oracles import pointwise_verify_compile, random_orbit_counts, random_valid_spec_tables
+from oracles import (
+    block_compile,
+    pointwise_verify_compile,
+    random_orbit_counts,
+    random_valid_spec_tables,
+)
 
 B, C = Generator.bump, Generator.cap
 
@@ -285,6 +290,27 @@ class TestSoundnessSweep:
             word = compile_spec(spec).word
             assert normal_form(word) == word
             assert is_normal_shape(word)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_no_longer_than_the_per_index_blocks(self, seed):
+        # the per-index blocks realize the spec too; the compiled word has
+        # one run per value the table reaches, and is never longer
+        tables = random_valid_spec_tables(random.Random(seed), (2, 3, 5, 7), max_len=6)
+        result = compile_spec(build_spec(tables))
+        gens = [(g.kind, g.prime, g.level) for g in result.word]
+        blocks = block_compile(tables)
+        for word in (gens, blocks):
+            assert pointwise_verify_compile(word, result.agreement, tables, 500) is None
+        assert len(gens) <= len(blocks)
+        assert normal_form(result.word) == result.word
+
+    def test_a_repeated_value_shares_one_run(self):
+        spec = build_spec({2: ("unbounded", [2, 2]), 3: ("bounded", [1, 3, 3, 4])})
+        assert compile_spec(spec).word.gens == (
+            B(2, 0), B(2, 1), B(3, 3), B(3, 1), B(3, 2), B(3, 0), C(3, 4)
+        )
+        assert len(block_compile({2: ("unbounded", [2, 2]), 3: ("bounded", [1, 3, 3, 4])})) == 9
 
     def test_normalized_compiled_words_still_verify(self):
         rng = random.Random(202)

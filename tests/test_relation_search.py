@@ -1,9 +1,9 @@
 """relation-search against the fingerprint search it replaced.
 
 The CLI keys each normal form by its exact per-prime exponent tables; the
-reference (tests/oracles.py) draws through the public Random API, rewrites
-by single swaps, buckets by 64 range values and scans every pair in a bucket
-on the whole prefix. Exit code, stdout and stderr must agree byte for byte.
+reference (tests/oracles.py) draws through the public Random API, reads each
+word's canonical form off its images, buckets by 64 range values and scans
+every pair in a bucket on the whole prefix. Exit code, stdout and stderr must agree byte for byte.
 Small max_n, few primes and low levels make coincidences common.
 """
 
@@ -18,7 +18,7 @@ from dynzeta import words
 from dynzeta.cli import main
 from dynzeta.words import random_word
 
-from oracles import fingerprint_relation_search
+from oracles import fingerprint_relation_search, per_generator_tables, scan_equal_upto
 
 # 1, 2, both sides of the 64-point fingerprint, and p**k - 1, p**k, p**k + 1
 PRIME_POWERS = {p**k for p in (2, 3, 5, 7) for k in range(1, 12) if p**k <= 2200}
@@ -58,9 +58,11 @@ def test_matches_the_fingerprint_search(seed, count, length, max_prime, max_leve
     "max_n", [1, 2, 3, 4, 7, 8, 9, 26, 27, 28, 63, 64, 65, 127, 128, 129, 10000]
 )
 def test_coincidences_match_at_the_edges(max_n):
+    # levels up to log2(max_n), so that some bump or cap acts only past the
+    # prefix: distinct maps then agree on it
     found = 0
     for seed in (0, 1000, -5):
-        code, out, _ = check(seed, 60, 5, 3, 3, max_n)
+        code, out, _ = check(seed, 60, 5, 3, max(3, max_n.bit_length() - 1), max_n)
         assert code == 0
         found += len(json.loads(out)["coincidences"])
     assert found > 0  # the comparison is not vacuous at any edge
@@ -172,3 +174,17 @@ def test_generators_are_built_only_for_reported_words(monkeypatch, seed, max_n):
     assert sorted(built) == sorted(
         (g["kind"], g["p"], g["t"]) for word in reported for g in json.loads(word)["gens"]
     )
+
+
+@pytest.mark.parametrize("seed, max_n", [(5, 1), (1, 64), (7, 2000)])
+def test_every_hit_is_a_prefix_coincidence(seed, max_n):
+    # normal forms are canonical, so the two words of a hit are distinct
+    # maps: they agree on 1..max_n and differ at some p**v beyond it, which
+    # the tables on v <= max_level + 2 show
+    pairs = words._coincidences(seed, 200, 6, 3, 5, max_n)
+    assert pairs
+    for left, right in pairs:
+        gens = [[(g.kind, g.prime, g.level) for g in word] for word in (left, right)]
+        assert scan_equal_upto(*gens, max_n) is None
+        tables = [per_generator_tables(g, 1, {p: list(range(8)) for p in (2, 3)}) for g in gens]
+        assert tables[0] != tables[1]

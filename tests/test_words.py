@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,7 +25,6 @@ from dynzeta.words import (
 from oracles import (
     generator_pass_eval_range,
     per_generator_tables,
-    random_valid_spec_tables,
     scan_equal_upto,
 )
 
@@ -65,6 +63,14 @@ small_word_strategy = st.builds(Word, st.lists(small_gen_strategy, max_size=5).m
 
 def triples(word):
     return [(g.kind, g.prime, g.level) for g in word]
+
+
+def map_key(gens, primes, top):
+    """The word's exponent tables on v = 0..top for each of primes, by the
+    per-generator reference: with every level below top - 1, they fix its
+    map, tails included."""
+    tables = per_generator_tables(gens, 1, {p: list(range(top + 1)) for p in primes})
+    return tuple(tuple(tables[p]) for p in primes)
 
 
 class TestGenerator:
@@ -214,13 +220,13 @@ class TestEvalWord:
 
 
 class TestPrimeMapTables:
-    # a word's tables come from its normal-form parts; the reference
+    # a word's tables are folded from its generators; the reference
     # rewrites them one generator at a time
     @given(wide_word_strategy, st.one_of(st.sampled_from([1, 10**12, 10**30]), edge_max_n))
     @example(Word((B(2, 0), B(2, 1), C(2, 1), B(10007, 0), C(3, 5))), 1)
     @settings(max_examples=300, deadline=None)
     def test_from_word_matches_per_generator_rewrite(self, word, max_n):
-        tables = words._PrimeMaps.from_parts(word._parts).cut(max_n)
+        tables = word._maps.cut(max_n)
         assert tables == per_generator_tables(triples(word), max_n)
 
     @given(wide_word_strategy, st.integers(min_value=0, max_value=12))
@@ -230,53 +236,39 @@ class TestPrimeMapTables:
         expected = per_generator_tables(
             triples(word), 1, {p: list(range(max_level + 1)) for p in primes}
         )
-        maps = words._PrimeMaps.from_parts(word._parts)
+        maps = word._maps
         assert {p: maps.read(p, max_level + 1) for p in primes} == expected
 
 
 class TestPartsCache:
-    # Word._parts folds a word once; _normal_word seeds it with the parts it
-    # builds from, which must be the fold of the word it builds
+    # Word._maps folds a word into its per-prime tables once; normal_form
+    # seeds the form with them, which must read as the form's own fold
 
     @given(wide_word_strategy)
     @settings(max_examples=200, deadline=None)
     def test_cache_is_the_fold(self, word):
-        assert word._parts == words._word_parts(word)
         reduced = normal_form(word)
-        assert "_parts" in vars(reduced)
-        assert reduced._parts == words._word_parts(reduced) == word._parts
-
-    @given(st.integers(0, 10**6))
-    @settings(max_examples=200, deadline=None)
-    def test_compiled_words_are_seeded_with_their_fold(self, seed):
-        tables = random_valid_spec_tables(random.Random(seed), (2, 3, 5, 7, 10007), max_len=7)
-        spec = {p: ExponentFunction(shape, values) for p, (shape, values) in tables.items()}
-        word = compile_spec(ExponentSpec(spec)).word
-        assert "_parts" in vars(word)
-        assert word._parts == words._word_parts(word)
-
-    def test_relation_search_words_are_seeded_with_their_fold(self):
-        pairs = words._coincidences(5, 60, 10, 2, 5, 1)
-        assert pairs
-        for word in {w for pair in pairs for w in pair}:
-            assert "_parts" in vars(word)
-            assert word._parts == words._word_parts(word)
+        assert "_maps" in vars(reduced) and reduced._maps is word._maps
+        fold = Word(reduced.gens)._maps
+        for p in word.primes() | reduced.primes():
+            assert reduced._maps.read(p, 12) == fold.read(p, 12)  # levels are <= 9
 
     def test_each_word_is_folded_once(self, monkeypatch):
         calls = []
-        fold = words._word_parts
-        monkeypatch.setattr(words, "_word_parts", lambda word: calls.append(word) or fold(word))
+        fold = words._fold
+        monkeypatch.setattr(words, "_fold",
+                            lambda gens, identity: calls.append(gens) or fold(gens, identity))
         word = Word((B(2, 0), C(2, 1), B(3, 2), C(2, 0)))
         for max_n in (10, 100, 1000):
             eval_range(word, max_n)
             equal_upto(word, word, max_n)
-        normal_form(word)
-        assert calls == [word]
+            equal_upto(word, normal_form(word), max_n)
+        assert calls == [triples(word)]
 
     def test_cache_is_not_a_field(self):
         word, twin = Word((B(2, 0), C(3, 1))), Word((B(2, 0), C(3, 1)))
-        assert word._parts == ((2, (0,), None), (3, (), 1))
-        assert "_parts" not in vars(twin)
+        assert word._maps == words._PrimeMaps({2: ([1, 1, 2], 1), 3: ([0, 1, 1], 0)})
+        assert "_maps" not in vars(twin)
         assert word == twin and hash(word) == hash(twin)
         assert repr(word) == repr(twin) == "Word[g(2,0) h(3,1)]"
 
@@ -415,15 +407,78 @@ class TestNormalForm:
             assert normal_form(once) == once
 
     def test_normal_form_matches_single_swap_rewriting(self):
-        # the one-pass algorithm must agree, generator by generator, with
-        # literal one-swap-at-a-time rule application
+        # the single-swap rewriting keeps the map; the canonical form has the
+        # same map and is never longer
         from oracles import naive_normal_form
 
         for seed in range(300):
             word = random_word(seed, seed % 16, 7, 5)
-            expected = naive_normal_form([(g.kind, g.prime, g.level) for g in word])
-            got = [(g.kind, g.prime, g.level) for g in normal_form(word)]
-            assert got == expected, (seed, word)
+            rewritten = naive_normal_form(triples(word))
+            got = normal_form(word)
+            assert map_key(triples(got), (2, 3, 5, 7), 7) == map_key(rewritten, (2, 3, 5, 7), 7)
+            assert len(got) <= len(rewritten), (seed, word)
+
+    def test_map_equal_words_share_one_form(self):
+        # the bump at or above its prime's cap level is erased by the cap
+        left, right = Word((B(3, 2), C(3, 0), C(5, 1))), Word((C(3, 0), C(5, 1)))
+        assert equal_upto(left, right, 10**30) is None
+        assert normal_form(left) == normal_form(right) == right
+
+    def test_forms_are_canonical_in_the_box(self):
+        # every word of length <= 3 over g/h, primes {2, 3} and levels <= 2:
+        # forms are identical exactly when the maps are, which the tables on
+        # v <= 4 (one past every table's tail) decide
+        gens = [(k, p, t) for k in "gh" for p in (2, 3) for t in range(3)]
+        forms: dict[tuple, set] = {}
+        count = 0
+        for length in range(4):
+            for word in itertools.product(gens, repeat=length):
+                form = normal_form(Word(tuple(Generator(*g) for g in word)))
+                forms.setdefault(map_key(word, (2, 3), 4), set()).add(form)
+                count += 1
+        assert count == 1885 and len(forms) == 193
+        assert all(len(group) == 1 for group in forms.values())
+        assert len({form for group in forms.values() for form in group}) == len(forms)
+
+    @given(wide_word_strategy)
+    @settings(max_examples=300, deadline=None)
+    def test_forms_match_the_canonical_reference(self, word):
+        from oracles import naive_canonical_form
+
+        assert triples(normal_form(word)) == naive_canonical_form(triples(word))
+
+    @given(small_word_strategy, small_word_strategy)
+    @settings(max_examples=300, deadline=None)
+    def test_forms_decide_equality(self, w1, w2):
+        same = map_key(triples(w1), (2, 3), 5) == map_key(triples(w2), (2, 3), 5)
+        assert (normal_form(w1) == normal_form(w2)) == same
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_forms_decide_equality_on_wide_words(self, data):
+        # a reordering of a word's generators is often, not always, the same
+        # map: generators of distinct primes commute, most of one prime not
+        word = data.draw(wide_word_strategy)
+        other = Word(tuple(data.draw(st.permutations(word.gens))))
+        primes = tuple(sorted(word.primes()))
+        same = map_key(triples(word), primes, 11) == map_key(triples(other), primes, 11)
+        assert (normal_form(word) == normal_form(other)) == same
+
+    def test_forms_are_shortest(self):
+        # every word of length <= 5 on prime 2 with levels <= 3: no word with
+        # the same map is shorter than its normal form
+        gens = [(k, 2, t) for k in "gh" for t in range(4)]
+        shortest: dict[tuple, int] = {}
+        count = 0
+        for length in range(6):
+            for word in itertools.product(gens, repeat=length):
+                shortest.setdefault(map_key(word, (2,), 5), length)
+                count += 1
+        assert count == 37449
+        for length in range(6):
+            for word in itertools.product(gens, repeat=length):
+                form = normal_form(Word(tuple(Generator(*g) for g in word)))
+                assert len(form) <= shortest[map_key(word, (2,), 5)], word
 
 
 class TestRandomWord:
