@@ -306,13 +306,13 @@ def cmd_relation_search(args) -> tuple[int, dict]:
     Words are drawn with the given seed, seed + 1, ... and normalized;
     repeated normal forms are dropped. The search makes one pass per drawn
     word on plain (kind, prime, level) values: the draw is folded into its
-    per-prime exponent tables, and their keys come in the same loop (see
-    words._coincidences). Forms are bucketed by their tables cut to the
-    prefix 1..min(64, max_n), buckets in first-seen order, and every pair
-    in a bucket with equal tables on 1..max_n, i.e. agreeing on all of
-    1..max_n, is reported; only the words of those pairs are built. Normal
-    forms are canonical, so the two words of a hit are distinct maps: each
-    hit agrees on 1..max_n and differs at some p**v beyond it.
+    per-prime exponent tables, and its key, those tables cut to 1..max_n,
+    comes in the same loop (see words._coincidences). Forms with equal keys
+    agree on all of 1..max_n; they are grouped by key, groups in order of
+    first sighting, and every pair of a group is reported, in first-seen
+    order; only the words of those pairs are built. Normal forms are
+    canonical, so the two words of a hit are distinct maps: each hit agrees
+    on 1..max_n and differs at some p**v beyond it.
     """
     count = _non_negative_int(args.count, "--count")
     pairs = _coincidences(args.seed, count, args.length, args.max_prime, args.max_level, args.max_n)

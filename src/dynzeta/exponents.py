@@ -50,8 +50,8 @@ rule for the other maps the library builds, and one validated call per n
 for a plain callable. The membership probes and the preimage structure
 read only f(n) modulo a small M, so they ask for residues
 (series._map_residues): a map with a residue path computes them without
-its full values, and any other map's values are taken once and reduced
-for each M.
+its full values, and any other map's values are taken once as above (a
+plain callable's validated) and reduced for each M.
 
 Membership testing is one-sided: a single-orbit time change that fails the
 realizability check refutes membership conclusively, while passing every
@@ -333,8 +333,9 @@ def preimage_structure(f: Callable[[int], int], k: int, max_n: int) -> PreimageS
     Any other map is read through f(n) mod k alone, by
     series._map_residues: the CLI's power maps compute it with pow(n, e, k)
     and never build their values; any other map's values are taken once
-    (see series._map_values) with no validation: only `m % k` is asked of
-    them.
+    and validated (see series._map_values), so a plain callable's value
+    that is not an integer >= 1 raises ValueError as in membership_test
+    and check_divisibility_properties.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -358,7 +359,7 @@ def preimage_structure(f: Callable[[int], int], k: int, max_n: int) -> PreimageS
         if k % step:
             return PreimageStructure.violation(k, max_n, step)
         return PreimageStructure.progression(k, max_n, step)
-    residues = _map_residues(f, max_n, None)(k)
+    residues = _map_residues(f, max_n)(k)
     try:
         step = residues.index(0) + 1
     except ValueError:

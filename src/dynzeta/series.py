@@ -316,15 +316,15 @@ _INVALID_VALUE = "map produced {m!r} at n={n}; expected an integer >= 1"
 
 
 def _map_values(f: Callable[[int], int], max_n: int,
-                invalid: str | None = _INVALID_VALUE) -> Iterator[int]:
+                invalid: str = _INVALID_VALUE) -> Iterator[int]:
     """f(1), ..., f(max_n) in order, each taken once.
 
     A map built by the library gives those its tables cover in one pass of
     their kernel, and the rest by its point rule: all of them for a map
     without tables at max_n, none for a word, and for a spec whose
     unbounded table ends short, the first point that table misses, where
-    apply_spec raises. A plain callable is called per n, and unless
-    `invalid` is None each value must be an int >= 1 and not a bool, else
+    apply_spec raises. A plain callable is called per n, and each value
+    must be an int >= 1 and not a bool, else
     ValueError(invalid.format(n=n, m=m)) at the first bad n. Either way
     nothing after the first failing n is produced, so a consumer sees
     values and errors in the order of n.
@@ -337,25 +337,22 @@ def _map_values(f: Callable[[int], int], max_n: int,
         return
     for n in range(1, max_n + 1):
         m = f(n)
-        if invalid is not None and (
-            type(m) is not int and (type(m) is bool or not isinstance(m, int)) or m < 1
-        ):
+        if type(m) is not int and (type(m) is bool or not isinstance(m, int)) or m < 1:
             raise ValueError(invalid.format(n=n, m=m))
         yield m
 
 
-def _map_residues(f: Callable[[int], int], max_n: int,
-                  invalid: str | None = _INVALID_VALUE) -> Callable[[int], list[int]]:
+def _map_residues(f: Callable[[int], int], max_n: int) -> Callable[[int], list[int]]:
     """modulus -> [f(1) % modulus, ..., f(max_n) % modulus].
 
     A map with a residue path (the CLI's power maps) answers each modulus
     without building its values. Any other map's values are taken once,
-    here, through _map_values (validated there unless `invalid` is None,
-    so errors surface in the order of n), and reduced for each modulus.
+    here, through _map_values (validated there, so errors surface in the
+    order of n), and reduced for each modulus.
     """
     if isinstance(f, _RangeMap) and f.residues is not None:
         return lambda modulus: f.residues(max_n, modulus)
-    values = list(_map_values(f, max_n, invalid))
+    values = list(_map_values(f, max_n))
     return lambda modulus: [m % modulus for m in values]
 
 
@@ -430,7 +427,10 @@ def two_shift_comparison(p: int, order: int) -> TimeChangeComparison:
 
     The direct side is computed from the definitions alone; the closed form is
     evaluated independently. Nothing is assumed about whether they agree, the
-    report simply records the comparison.
+    report simply records the comparison. (The candidate fails from z^p on.
+    Splitting the log series sum 2^h(n) z^n / n by whether p divides n gives
+    the direct side exactly: (1 - 2 z)^(-1) * (1 - 2^p z^p)^(1/p) *
+    (1 - 2^(p^2) z^p)^(-1/p), which the tests check.)
     """
     shift = FixSource.geometric(2)
     entries = time_change_fix(lambda n: p * n if n % p == 0 else n, shift, order)

@@ -33,8 +33,8 @@ _generator, which checks each distinct generator once and shares it.
 
 The CLI's relation search (_coincidences) makes one pass per drawn word on
 plain (kind, prime, level) values: random_word's draw loop, the fold into
-per-search tables, and their keys, taken in the same loop. It builds
-Generator and Word objects only for the pairs it reports.
+per-search tables, and one key of those tables, taken in the same loop. It
+builds Generator and Word objects only for the pairs it reports.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .arith import is_prime, primes_up_to
@@ -440,62 +441,48 @@ def _coincidences(seed: int, count: int, length: int, max_prime: int, max_level:
     identity that covers both its exponents on 1..max_n and one past
     max_level, so two draws have equal tables and tails exactly when they
     have the same map, i.e. the same normal form (no folded table is the
-    identity: its prime's first generator merges two entries). The exact
-    key holds the tables that are not the identity on 1..max_n, cut there,
-    by ascending prime: two forms agree on 1..max_n exactly when their
-    exact keys are equal, since the value at n is read off the entries at
-    v_p(n), and n = p**v reads entry v of p alone. The bucket key is the
-    same cut to the p**v <= min(64, max_n). Forms are bucketed by it in
-    first-seen order and kept once per bucket by their full tables; in a
-    bucket of two or more, every pair with equal exact keys is returned,
-    and words are built only for the forms of these pairs, once each, from
-    checked generators. The draw's argument errors come at the first draw,
-    then max_n below 1.
+    identity: its prime's first generator merges two entries). Its key
+    holds the tables that are not the identity on 1..max_n, cut there, by
+    ascending prime: two forms agree on 1..max_n exactly when their keys
+    are equal, since the value at n is read off the entries at v_p(n), and
+    n = p**v reads entry v of p alone. Forms are grouped by key, groups in
+    order of first sighting and, within one, forms kept once each by their
+    full tables in first-seen order; every pair (i, j), i < j, of a group of
+    two or more is returned, its words built once each, from checked
+    generators. The draw's argument errors come at the first draw, then
+    max_n below 1.
     """
     draws = _draws(seed, length, max_prime, max_level)
-    length_of = _PrimeMaps._length
-    # p -> (its identity table, then for 1..max_n and for 1..min(64, max_n)
-    # the entries it keeps there and the identity cut to them)
-    sizes: dict[int, tuple[list[int], tuple[int, tuple], tuple[int, tuple]]] = {}
+    # p -> (its identity table, and that table cut to 1..max_n)
+    sizes: dict[int, tuple[list[int], list[int]]] = {}
 
     def identity(p: int) -> list[int]:
         size = sizes.get(p)
         if size is None:
-            kept, cut = length_of(p, max_n), length_of(p, min(64, max_n))
+            kept = _PrimeMaps._length(p, max_n)
             table = list(range(max(kept, max_level + 2)))
-            size = sizes[p] = (table, (kept, tuple(table[:kept])), (cut, tuple(table[:cut])))
+            size = sizes[p] = (table, table[:kept])
         return size[0].copy()
 
-    def key(full: tuple, prefix: int) -> tuple:
-        """The tables of full cut to 1..max_n (prefix 1) or to
-        1..min(64, max_n) (prefix 2), leaving out the identity there."""
-        out = []
-        for p, table, _ in full:
-            length, ident = sizes[p][prefix]
-            if table[:length] != ident:
-                out.append((p, table[:length]))
-        return tuple(out)
-
-    # bucket key -> {full tables: None}, in first-seen order; equal maps give
-    # equal keys, so a repeat meets its first sighting in the same bucket
-    buckets: dict[tuple, dict[tuple, None]] = {}
+    # key -> {full tables: None}, both in first-seen order
+    groups: dict[tuple, dict[tuple, None]] = {}
     for _ in range(count):
         gens = next(draws)
         if max_n < 1:
             raise ValueError("max_n must be >= 1")
         tables = _fold(gens, identity).tables
-        full = tuple([(p, tuple(tables[p][0]), tables[p][1]) for p in sorted(tables)])
-        buckets.setdefault(key(full, 2), {})[full] = None
-    built: dict[tuple, Word] = {}  # the forms of the pairs found so far
+        full, key = [], []
+        for p in sorted(tables):
+            table, tail = tables[p]
+            full.append((p, tuple(table), tail))
+            ident = sizes[p][1]
+            cut = table[: len(ident)]
+            if cut != ident:
+                key.append((p, tuple(cut)))
+        groups.setdefault(tuple(key), {})[tuple(full)] = None
     pairs = []
-    for bucket in buckets.values():
-        forms = [(full, key(full, 1)) for full in bucket] if len(bucket) > 1 else []
-        for i, (left, exact) in enumerate(forms):
-            for right, other in forms[i + 1 :]:
-                if exact == other:
-                    for full in (left, right):
-                        if full not in built:
-                            maps = _PrimeMaps({p: (table, tail) for p, table, tail in full})
-                            built[full] = maps.word()
-                    pairs.append((built[left], built[right]))
+    for group in groups.values():
+        if len(group) > 1:
+            forms = [_PrimeMaps({p: (t, tail) for p, t, tail in full}).word() for full in group]
+            pairs += combinations(forms, 2)
     return pairs

@@ -453,8 +453,8 @@ def pointwise_membership(f, max_k, max_n):
 
 def pointwise_preimage(f, k, max_n):
     """(outcome, step, witness) of {n <= max_n : k | f(n)}, calling f per n
-    and using its values as they come."""
-    hits = [f(n) % k == 0 for n in range(1, max_n + 1)]
+    and checking its values as pointwise_values does."""
+    hits = [m % k == 0 for m in pointwise_values(f, max_n)]
     if True not in hits:
         return "empty", None, None
     step = hits.index(True) + 1
@@ -531,11 +531,14 @@ def public_random_word(seed, length, max_prime, max_level):
 def fingerprint_relation_search(seed, count, length, max_prime, max_level, max_n):
     """(exit code, stdout, stderr) of `dynzeta relation-search` by the
     fingerprint algorithm: canonical forms of the public draws
-    (naive_canonical_form) are bucketed by
-    their values on 1..min(64, max_n), kept once per bucket by a linear
-    scan, and every pair in a bucket is compared on all of 1..max_n. The
-    usage errors are the CLI's: --count below 0 first, then per draw the
-    ones of random_word, then max_n below 1 once a word was drawn."""
+    (naive_canonical_form) are bucketed by their values on
+    1..min(64, max_n) and kept once per bucket by a linear scan, and each
+    bucket is split into groups by comparing its forms on all of 1..max_n.
+    The pairs come out in the CLI's order: groups by the first sighting of
+    their first form, and in each group every pair of forms (i, j), i < j,
+    in first-seen order. The usage errors are the CLI's: --count below 0
+    first, then per draw the ones of random_word, then max_n below 1 once a
+    word was drawn."""
 
     def usage(message):
         return 2, "", f"error: {message}\n"
@@ -545,7 +548,8 @@ def fingerprint_relation_search(seed, count, length, max_prime, max_level, max_n
 
     if count < 0:
         return usage(f"--count must be >= 0, got {count}")
-    buckets = {}
+    buckets = {}  # 64 values -> [(first sighting, form)]
+    seen = 0
     for i in range(count):
         if length < 0:
             return usage("length must be >= 0")
@@ -557,14 +561,26 @@ def fingerprint_relation_search(seed, count, length, max_prime, max_level, max_n
         if max_n < 1:
             return usage("max_n must be >= 1")
         bucket = buckets.setdefault(tuple(generator_pass_eval_range(nf, min(64, max_n))), [])
-        if all(nf != other for other in bucket):
-            bucket.append(nf)
+        if all(nf != other for _, other in bucket):
+            bucket.append((seen, nf))
+            seen += 1
+    groups = []
+    for bucket in buckets.values():
+        split = []
+        for form in bucket:
+            group = next((g for g in split if scan_equal_upto(g[0][1], form[1], max_n) is None),
+                         None)
+            if group is None:
+                split.append([form])
+            else:
+                group.append(form)
+        groups += split
+    groups.sort(key=lambda group: group[0][0])
     coincidences = [
-        {"left": as_json(bucket[i]), "right": as_json(bucket[j]), "agree_up_to": max_n}
-        for bucket in buckets.values()
-        for i in range(len(bucket))
-        for j in range(i + 1, len(bucket))
-        if scan_equal_upto(bucket[i], bucket[j], max_n) is None
+        {"left": as_json(group[i][1]), "right": as_json(group[j][1]), "agree_up_to": max_n}
+        for group in groups
+        for i in range(len(group))
+        for j in range(i + 1, len(group))
     ]
     payload = {"seed": seed, "count": count, "max_n": max_n, "coincidences": coincidences}
     return 0, json.dumps(payload, indent=2) + "\n", ""

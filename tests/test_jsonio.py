@@ -32,6 +32,17 @@ def test_sequence_accepts_plain_numbers():
     assert sequence_from_json({"n": 2, "entries": [1, 2]}) == [1, 2]
 
 
+def test_integer_strings_read_as_int_reads_them():
+    # int(s, 10): spaces around, a leading +, leading zeros, underscores
+    # between digits and non-ASCII decimal digits; a reader for strings
+    # past the 4300-digit limit must accept the same ones
+    entries = ["1_000", " 2", "03", "+5", "\uff11\uff12", " 7\n", "\u0663"]
+    assert sequence_from_json({"entries": entries}) == [1000, 2, 3, 5, 12, 7, 3]
+    for text in ("1e5", "NaN", "1.0", "_1", "1__0", ""):
+        with pytest.raises(ValueError, match="is not a decimal integer"):
+            sequence_from_json({"entries": [text]})
+
+
 @pytest.mark.parametrize(
     "obj",
     [

@@ -427,11 +427,13 @@ class TestPlainCallables:
         assert outcome(lambda: membership_test(f, 5, 20)) == expected
         assert outcome(lambda: check_divisibility_properties(f, 20)) == expected
 
-    @pytest.mark.parametrize("f, shown, at", BAD[:3])
-    def test_preimage_takes_values_as_they_come(self, f, shown, at):
+    @pytest.mark.parametrize("f, shown, at", BAD)
+    def test_preimage_rejects_bad_values(self, f, shown, at):
+        message = f"map produced {shown} at n={at}; expected an integer >= 1"
         for k in (1, 2, 3):
-            got = preimage_tuple(preimage_structure(f, k, 20))
-            assert got == pointwise_preimage(f, k, 20)
+            expected = outcome(lambda: pointwise_preimage(f, k, 20))
+            assert expected == ("raised", ValueError, message)
+            assert outcome(lambda: preimage_structure(f, k, 20)) == expected
 
     @pytest.mark.parametrize("f, shown, at", BAD)
     def test_time_change_fix_message(self, f, shown, at):

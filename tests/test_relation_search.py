@@ -1,14 +1,17 @@
 """relation-search against the fingerprint search it replaced.
 
-The CLI keys each normal form by its exact per-prime exponent tables; the
-reference (tests/oracles.py) draws through the public Random API, reads each
-word's canonical form off its images, buckets by 64 range values and scans
-every pair in a bucket on the whole prefix. Exit code, stdout and stderr must agree byte for byte.
-Small max_n, few primes and low levels make coincidences common.
+The CLI groups the normal forms by their exact per-prime exponent tables on
+1..max_n; the reference (tests/oracles.py) draws through the public Random
+API, reads each word's canonical form off its images, buckets by 64 range
+values and splits each bucket into groups by scanning the whole prefix. Both
+report every pair of each group, groups in order of first sighting. Exit
+code, stdout and stderr must agree byte for byte. Small max_n, few primes
+and low levels make coincidences common.
 """
 
 import contextlib
 import io
+import itertools
 import json
 
 import pytest
@@ -18,7 +21,14 @@ from dynzeta import words
 from dynzeta.cli import main
 from dynzeta.words import random_word
 
-from oracles import fingerprint_relation_search, per_generator_tables, scan_equal_upto
+from oracles import (
+    fingerprint_relation_search,
+    generator_pass_eval_range,
+    naive_canonical_form,
+    per_generator_tables,
+    public_random_word,
+    scan_equal_upto,
+)
 
 # 1, 2, both sides of the 64-point fingerprint, and p**k - 1, p**k, p**k + 1
 PRIME_POWERS = {p**k for p in (2, 3, 5, 7) for k in range(1, 12) if p**k <= 2200}
@@ -35,9 +45,25 @@ def cli(seed, count, length, max_prime, max_level, max_n):
     return code, out.getvalue(), err.getvalue()
 
 
+def groups(out):
+    """The groups of the reported pairs, one per pair, as the set of words
+    that agree with its left word; a group is every pair of its words."""
+    pairs = [(json.dumps(pair["left"]), json.dumps(pair["right"]))
+             for pair in json.loads(out)["coincidences"]]
+    partners = {}
+    for left, right in pairs:
+        partners.setdefault(left, {left}).add(right)
+        partners.setdefault(right, {right}).add(left)
+    return [frozenset(partners[left]) for left, _ in pairs]
+
+
 def check(*args):
     got = cli(*args)
     assert got == fingerprint_relation_search(*args), args
+    if got[0] == 0:
+        # each group's pairs come out contiguous
+        found = groups(got[1])
+        assert len([g for g, _ in itertools.groupby(found)]) == len(set(found)), args
     return got
 
 
@@ -71,10 +97,32 @@ def test_coincidences_match_at_the_edges(max_n):
 @pytest.mark.parametrize("max_level, max_n", [(6, 64), (6, 100), (7, 128), (7, 200)])
 def test_bucket_order_around_the_cut(max_level, max_n):
     # one prime and levels up to 6 or 7: normal forms that agree on 1..63
-    # but not at 64, or on 1..64 but not at 128, share a bucket or not, and
-    # the coincidences must come out in the fingerprint's bucket order
+    # but not at 64, or on 1..64 but not at 128, share the reference's
+    # 64-point bucket or not, and the coincidences must come out in order of
+    # first sighting all the same
     for seed in range(30):
         check(seed, 80, 2, 2, max_level, max_n)
+
+
+@pytest.mark.parametrize(
+    "seed, count, length, max_prime, max_level, max_n",
+    [(1000, 60, 5, 3, 13, 10000), (78835, 256, 5, 5, 3, 100), (624235, 257, 3, 7, 4, 100)],
+)
+def test_groups_that_share_a_bucket(seed, count, length, max_prime, max_level, max_n):
+    # searches whose pairs came out in another order when they were listed
+    # by 64-point bucket: a group's bucket also holds forms that agree with
+    # it on 1..64 but not on 1..max_n, and each group's pairs still come out
+    # together, in order of first sighting
+    code, out, _ = check(seed, count, length, max_prime, max_level, max_n)
+    assert code == 0
+    buckets = {}
+    for i in range(count):
+        form = naive_canonical_form(public_random_word(seed + i, length, max_prime, max_level))
+        word = json.dumps({"gens": [{"kind": k, "p": p, "t": t} for k, p, t in form]})
+        buckets.setdefault(tuple(generator_pass_eval_range(form, 64)), set()).add(word)
+    found = set(groups(out))
+    assert found
+    assert any(group < bucket for group in found for bucket in buckets.values())
 
 
 def test_default_arguments_match():

@@ -29,6 +29,7 @@ from oracles import (
     binomial_power,
     euler_product,
     fraction_zeta,
+    int_series_mul,
     log_fix_from_zeta,
     random_orbit_counts,
 )
@@ -429,6 +430,17 @@ class TestTwoShiftComparison:
             assert not disagreements
         else:
             assert disagreements and disagreements[0] == report.first_mismatch
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_direct_side_is_the_derived_product(self, p):
+        # the log series sum 2^h(n) z^n / n split by whether p | n:
+        # (1 - 2z)^(-1) (1 - 2^p z^p)^(1/p) (1 - 2^(p^2) z^p)^(-1/p),
+        # each factor by its binomial series, multiplied in Fraction
+        order = 40
+        product = binomial_power(-2, 1, -1, order)
+        for c, r in ((-(2**p), Fraction(1, p)), (-(2 ** (p * p)), Fraction(-1, p))):
+            product = int_series_mul(product, binomial_power(c, p, r, order))
+        assert list(two_shift_comparison(p, order).direct.coeffs) == product
 
     def test_direct_side_prefix_values(self):
         report = two_shift_comparison(2, 6)
