@@ -44,10 +44,13 @@ constant = ExponentSpec(
 )
 result = demo("the constant map n -> 2 on 5-smooth numbers:", constant, range(1, 8))
 
-print("reading tables back off the compiled constant word:")
+print("reading tables back off the compiled constant word (capped primes are bounded):")
 recovered = spec_from_word(result.word, 5, 3)
 for p, fn in recovered.functions.items():
-    print(f"  prime {p}: observed exponents {fn.values}")
+    print(f"  prime {p}: {fn.shape} exponents {fn.values}")
+again = compile_spec(recovered).word
+assert again == result.word
+print("  compiled again:", again, "(the same word)")
 print()
 
 print("compiled words pass single-orbit membership probes, as they must;")

@@ -39,11 +39,7 @@ def is_prime(n: int) -> bool:
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    r, d = _split(n - 1, 2)
     for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -71,10 +67,7 @@ def _strong_lucas(n: int) -> bool:
             return False  # |D| < n shares a factor with n
         d = -d - 2 if d > 0 else -d + 2
     q = (1 - d) // 4
-    k, s = n + 1, 0
-    while k % 2 == 0:
-        k //= 2
-        s += 1
+    s, k = _split(n + 1, 2)
 
     def half(x: int) -> int:
         x %= n
@@ -100,10 +93,9 @@ def _jacobi(a: int, n: int) -> int:
     a %= n
     sign = 1
     while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                sign = -sign
+        twos, a = _split(a, 2)
+        if twos % 2 and n % 8 in (3, 5):
+            sign = -sign
         a, n = n, a
         if a % 4 == 3 and n % 4 == 3:
             sign = -sign
@@ -138,10 +130,7 @@ def _trial_division(n: int, bound: int) -> tuple[list[tuple[int, int]], int]:
         if prime or d > bound or d * d > m:
             break
         if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
+            e, m = _split(m, d)
             pairs.append((d, e))
             prime = is_prime(m)
     return pairs, m
@@ -153,11 +142,17 @@ def valuation(p: int, n: int) -> int:
         raise ValueError(f"{p} is not prime")
     if n < 1:
         raise ValueError(f"valuation undefined for {n}; expected n >= 1")
-    e = 0
+    return _split(n, p)[0]
+
+
+def _split(n: int, p: int) -> tuple[int, int]:
+    """(v, n // p**v) for n >= 1 and p >= 2, v the largest e such that p**e
+    divides n: the p-part of n and the rest."""
+    v = 0
     while n % p == 0:
         n //= p
-        e += 1
-    return e
+        v += 1
+    return v, n
 
 
 def moebius(n: int) -> int:

@@ -69,8 +69,9 @@ def _load_json(path: str):
         raise UsageError(f"{path} is not valid JSON: {err}") from None
 
 
-def parse_map(text: str) -> Callable[[int], int]:
-    """Resolve a map name to a callable on the positive integers.
+def parse_map(text: str, max_n: int) -> Callable[[int], int]:
+    """Resolve a map name to a callable on the positive integers, for a
+    request that reads it on 1..max_n.
 
     Beside its point rule a map has at most one fast path. `identity`,
     `mul:C`, `gen:`, `word:` and `spec:` maps carry their exponent tables:
@@ -78,16 +79,17 @@ def parse_map(text: str) -> Callable[[int], int]:
     membership probes, the preimage structure and the divisibility laws
     answer from them alone when the tables serve (see dynzeta.exponents),
     at N = 10**12 as fast as at N = 10. `mul:C` has the table [v_p(C)]
-    with tail 1 at each prime p of C, found by _mul_tables, and `identity`
-    is `mul:1`, whose set of tables is empty. `nn` and `pow:B` carry a
-    residue path instead, so consumers that read only f(n) mod M (the
-    membership probes, the preimage structure) never build the powers.
-    `succ` has neither.
+    with tail 1 at each prime p of C, found once, here, by dividing C by
+    the primes <= max_n (_mul_tables); tables it finds hold at every N,
+    and a C it cannot split has none. `identity` is `mul:1`, whose set of
+    tables is empty. `nn` and `pow:B` carry a residue path instead, so
+    consumers that read only f(n) mod M (the membership probes, the
+    preimage structure) never build the powers. `succ` has neither.
     """
     name, _, rest = text.partition(":")
     if name in ("identity", "mul"):
         c = 1 if name == "identity" else _positive_int(rest, "mul factor")
-        return _RangeMap(lambda n: c * n, tables=lambda max_n: _mul_tables(c, max_n))
+        return _RangeMap(lambda n: c * n, tables=_mul_tables(c, max_n))
     if name == "pow":
         b = _non_negative_int(rest, "pow exponent")
         return _RangeMap(
@@ -120,8 +122,9 @@ def _mul_tables(c: int, max_n: int) -> _PrimeMaps | None:
 
     c is divided by the primes <= max_n alone, never up to sqrt(c), and
     division stops once the cofactor r is prime, which is then keyed
-    whatever its size. A composite r > 1 has every prime above max_n and
-    cannot be split that way, and the map has no tables at this max_n
+    whatever its size. So the tables, when there are any, are c's full
+    factorization and exact at every N. A composite r > 1 has every prime
+    above max_n and cannot be split that way, and the map has no tables
     (None): its consumers read it by its point rule.
     """
     pairs, r = _trial_division(c, max_n)
@@ -194,7 +197,7 @@ def cmd_zeta_check(args) -> tuple[int, dict]:
 
 
 def cmd_apply(args) -> tuple[int, dict]:
-    h = parse_map(args.map)
+    h = parse_map(args.map, args.max_n)
     source = parse_source(args.source)
     entries = time_change_fix(h, source, args.max_n)
     return 0, jsonio.sequence_to_json(entries)
@@ -257,7 +260,7 @@ def cmd_spec_compile(args) -> tuple[int, dict]:
 
 
 def cmd_membership_test(args) -> tuple[int, dict]:
-    f = parse_map(args.map)
+    f = parse_map(args.map, args.max_n)
     report = membership_test(f, args.max_k, args.max_n)
     if report.witness is None:
         return 0, {"result": "no-violation", "max_k": args.max_k, "max_n": args.max_n}
@@ -272,7 +275,7 @@ def cmd_membership_test(args) -> tuple[int, dict]:
 
 
 def cmd_preimage(args) -> tuple[int, dict]:
-    f = parse_map(args.map)
+    f = parse_map(args.map, args.max_n)
     structure = preimage_structure(f, args.k, args.max_n)
     out = {"outcome": structure.outcome, "k": structure.k, "max_n": structure.max_n}
     if structure.step is not None:
@@ -283,7 +286,7 @@ def cmd_preimage(args) -> tuple[int, dict]:
 
 
 def cmd_divisibility_check(args) -> tuple[int, dict]:
-    f = parse_map(args.map)
+    f = parse_map(args.map, args.max_n)
     report = check_divisibility_properties(f, args.max_n)
 
     def claim(result):

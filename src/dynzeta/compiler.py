@@ -81,8 +81,7 @@ def compile_spec(spec: ExponentSpec) -> CompileResult:
     if violations:
         raise InvalidSpecError(violations)
     agreement = {p: fn.table_bound for p, fn in spec.functions.items() if fn.shape != BOUNDED}
-    # a spec's tables are the same for every N
-    return CompileResult(_spec_map(spec).tables(1).word(), agreement)
+    return CompileResult(_spec_map(spec).tables.word(), agreement)
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,7 @@ def verify_compile(result: CompileResult, spec: ExponentSpec, max_n: int) -> Mis
             raise ValueError(f"{p} is not prime")
     if any(bound < 0 for bound in result.agreement.values()):
         return None  # no n is admitted
-    n = result.word._maps.first_difference(_spec_map(spec).tables(max_n), result.agreement, max_n)
+    n = result.word._maps.first_difference(_spec_map(spec).tables, result.agreement, max_n)
     if n is None:
         return None
     return Mismatch(n, eval_word(result.word, n), apply_spec(spec, n))

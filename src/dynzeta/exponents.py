@@ -40,10 +40,10 @@ answer from the tables alone, whatever the size of N (10**12 included):
         fails, for any orbit length (membership_test).
 
 The tables never refute. Every other map (plain callables, the power maps,
-`succ`, short or non-monotone spec tables, `mul:C` at an N where C's
-primes are not known) is read through its values, so its errors,
-witnesses and counterexamples come from them; the divisibility laws are
-then tested along prime steps, in O(N log log N) tests. Like
+`succ`, short or non-monotone spec tables, `mul:C` with a composite
+cofactor the CLI could not split) is read through its values, so its
+errors, witnesses and counterexamples come from them; the divisibility laws
+are then tested along prime steps, in O(N log log N) tests. Like
 series.time_change_fix, that reading takes a map's values on 1..N once
 (series._map_values): off its tables where the map has them, by its point
 rule for the other maps the library builds, and one validated call per n
@@ -69,7 +69,7 @@ from dataclasses import dataclass, field
 from math import gcd, lcm
 from typing import Callable, Mapping
 
-from .arith import factorize, is_prime, primes_up_to
+from .arith import _split, factorize, is_prime, primes_up_to
 from .sequences import DOLD, SIGN, RealizabilityVerdict, _mobius_sieve
 from .series import _map_residues, _map_values, _RangeMap
 from .words import Word, _check_int, _PrimeMaps
@@ -232,35 +232,31 @@ def apply_spec(spec: ExponentSpec, n: int) -> int:
     rest = n
     out = 1
     for p, fn in spec.functions.items():
-        v = 0
-        while rest % p == 0:
-            rest //= p
-            v += 1
+        v, rest = _split(rest, p)
         out *= p ** fn.value(v, p)
     return out * rest
 
 
-def _spec_map(spec: ExponentSpec) -> Callable[[int], int]:
+def _spec_map(spec: ExponentSpec) -> _RangeMap:
     """The map a spec describes, with its tables as its fast path: a bounded
     function's values with a constant tail, an unbounded one's with none. A
     short unbounded table first fails at n = p**(bound + 1), the smallest
     such power: a range read gives the values before it, then the same
     TableRangeError that apply_spec raises there."""
-    maps = _PrimeMaps({p: (list(fn.values), 0 if fn.shape == BOUNDED else None)
-                       for p, fn in spec.functions.items()})
-    return _RangeMap(lambda n: apply_spec(spec, n), tables=lambda max_n: maps)
+    return _RangeMap(lambda n: apply_spec(spec, n), tables=_PrimeMaps(
+        {p: (list(fn.values), 0 if fn.shape == BOUNDED else None)
+         for p, fn in spec.functions.items()}))
 
 
 def _tables(f: Callable[[int], int], max_n: int) -> dict[int, list[int]] | None:
     """f's exponent tables {p: table} cut to 1..max_n (_PrimeMaps.cut), when
-    f carries them there (word, spec and generator maps, and the CLI's
-    `identity` and `mul:C`), every table covers the exponents v with
-    p**v <= max_n (no unbounded spec table ends short) and every table is
-    non-decreasing; else None, and the consumer reads f's values."""
-    maps = f.tables(max_n) if isinstance(f, _RangeMap) else None
-    if maps is None:
+    f carries them (word, spec and generator maps, and the CLI's `identity`
+    and `mul:C`), every table covers the exponents v with p**v <= max_n
+    (no unbounded spec table ends short) and every table is non-decreasing;
+    else None, and the consumer reads f's values."""
+    if not isinstance(f, _RangeMap) or f.tables is None:
         return None
-    tables = maps.cut(max_n)
+    tables = f.tables.cut(max_n)
     for p, table in tables.items():
         if p ** len(table) <= max_n or any(a > b for a, b in zip(table, table[1:])):
             return None
@@ -272,22 +268,29 @@ def spec_from_word(word: Word, max_prime: int, max_level: int) -> ExponentSpec:
     the valuation of the image of p**v, which the word's generators of prime
     p alone decide.
 
-    Every prime up to max_prime is tabulated for v = 0..max_level. The tables
-    record observed exponents only and carry no claim about larger exponents,
-    so they are stored in the unbounded (no extrapolation) shape.
-
-    The table of a word with a cap below its top level drops below its
-    index, which the unbounded shape forbids, so compile_spec rejects it
-    (InvalidSpecError). Read as bounded, the same tables compile to a word
-    equal to the input at every n whose exponents are at most max_level.
+    Every prime up to max_prime is tabulated for v = 0..max_level. A prime
+    the word caps is constant past its word table, so it is stored in the
+    bounded shape, read to max_level + 1 entries or to the table's end,
+    whichever is longer, and is exact for every n. Every other prime's
+    table records observed exponents only and carries no claim about
+    larger ones, so it is stored in the unbounded (no extrapolation) shape.
+    compile_spec turns the spec into a word equal to the input at every n
+    its agreement set admits.
     """
     if max_level < 0:
         raise ValueError("max_level must be >= 0")
     stray = [p for p in word.primes() if p > max_prime]
     if stray:
         raise ValueError(f"word touches primes {sorted(stray)} above {max_prime}")
-    return ExponentSpec({p: ExponentFunction.unbounded(word._maps.read(p, max_level + 1))
-                         for p in primes_up_to(max_prime)})
+    maps, functions = word._maps, {}
+    for p in primes_up_to(max_prime):
+        table, tail = maps.tables.get(p, ((), 1))
+        if tail == 0:
+            values = maps.read(p, max(max_level + 1, len(table)))
+            functions[p] = ExponentFunction.bounded(values)
+        else:
+            functions[p] = ExponentFunction.unbounded(maps.read(p, max_level + 1))
+    return ExponentSpec(functions)
 
 
 @dataclass(frozen=True)
@@ -345,10 +348,7 @@ def preimage_structure(f: Callable[[int], int], k: int, max_n: int) -> PreimageS
     if tables is not None:
         step, rest = 1, k  # rest keeps the primes of k without a table
         for q, table in tables.items():
-            e = 0
-            while rest % q == 0:
-                rest //= q
-                e += 1
+            e, rest = _split(rest, q)
             if e:
                 # t == len(table) when no q**v <= max_n reaches e, and then
                 # q**t > max_n
@@ -389,10 +389,11 @@ class MembershipReport:
     witness means exactly that: nothing was found at this precision. With a
     certificate it means more: no orbit length of any size fails on
     1..max_n. The certificate is f's exponent spec on 1..max_n, in the
-    unbounded shape (as spec_from_word's): read as bounded, each function
-    is valid, and compile_spec turns it into a word that agrees with f on
-    1..max_n. It backs the verdict and is not part of it, so two reports
-    with the same verdict compare equal.
+    unbounded shape, as its tables are cut to 1..max_n and say nothing of
+    their tails: read as bounded, each function is valid, and compile_spec
+    turns it into a word that agrees with f on 1..max_n. It backs the
+    verdict and is not part of it, so two reports with the same verdict
+    compare equal.
     """
 
     max_k: int

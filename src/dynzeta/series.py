@@ -283,27 +283,22 @@ def series_pow(f: Series, r) -> Series:
     return exp_series(Series(tuple(r * c for c in logs.coeffs)))
 
 
-def _no_tables(max_n: int) -> None:
-    return None
-
-
 class _RangeMap:
     """A map on n >= 1 built by the library, with at most one fast path
     beside its point rule `point(n)` (calling the map maps one n). A map
-    that acts prime by prime has the table path `tables(max_n)`, its
-    words._PrimeMaps, which consumers cut to 1..max_n to read its values
-    and answers: word, spec and generator maps, built once per map, and
-    the CLI's `identity` and `mul:C`, whose tables(max_n) is None at an N
-    where C's primes are not known (see cli.parse_map). The CLI's power
-    maps `pow:B` and `nn` have the residue path `residues(max_n,
-    modulus)`, which lists f(1..max_n) mod modulus without building the
-    powers, and no tables: at every N their tables(max_n) is None."""
+    that acts prime by prime has the table path `tables`, its
+    words._PrimeMaps, a value that consumers cut to 1..max_n to read its
+    values and answers: word, spec and generator maps, and the CLI's
+    `identity` and `mul:C`, whose tables are None when C's primes were not
+    all found (see cli.parse_map). The CLI's power maps `pow:B` and `nn`
+    have the residue path `residues(max_n, modulus)`, which lists
+    f(1..max_n) mod modulus without building the powers, and no tables."""
 
     __slots__ = ("point", "residues", "tables")
 
     def __init__(self, point: Callable[[int], int],
                  residues: Callable[[int, int], list[int]] | None = None,
-                 tables: Callable[[int], _PrimeMaps | None] = _no_tables):
+                 tables: _PrimeMaps | None = None):
         self.point = point
         self.residues = residues
         self.tables = tables
@@ -321,17 +316,15 @@ def _map_values(f: Callable[[int], int], max_n: int,
 
     A map built by the library gives those its tables cover in one pass of
     their kernel, and the rest by its point rule: all of them for a map
-    without tables at max_n, none for a word, and for a spec whose
-    unbounded table ends short, the first point that table misses, where
-    apply_spec raises. A plain callable is called per n, and each value
-    must be an int >= 1 and not a bool, else
-    ValueError(invalid.format(n=n, m=m)) at the first bad n. Either way
-    nothing after the first failing n is produced, so a consumer sees
-    values and errors in the order of n.
+    without tables, none for a word, and for a spec whose unbounded table
+    ends short, the first point that table misses, where apply_spec raises.
+    A plain callable is called per n, and each value must be an int >= 1
+    and not a bool, else ValueError(invalid.format(n=n, m=m)) at the first
+    bad n. Either way nothing after the first failing n is produced, so a
+    consumer sees values and errors in the order of n.
     """
     if isinstance(f, _RangeMap):
-        maps = f.tables(max_n)
-        values = [] if maps is None else maps.values(max_n)
+        values = [] if f.tables is None else f.tables.values(max_n)
         yield from values
         yield from map(f.point, range(len(values) + 1, max_n + 1))
         return

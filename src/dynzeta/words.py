@@ -46,7 +46,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .arith import is_prime, primes_up_to
+from .arith import _split, is_prime, primes_up_to
 from .series import _RangeMap
 
 __all__ = [
@@ -116,11 +116,7 @@ def eval_generator(gen: Generator, n: int) -> int:
     if n < 1:
         raise ValueError(f"generators act on n >= 1, got {n}")
     p = gen.prime
-    v = 0
-    m = n
-    while m % p == 0:
-        m //= p
-        v += 1
+    v, m = _split(n, p)
     if gen.kind == BUMP:
         return p * n if v == gen.level else n
     return n if v < gen.level else m * p**gen.level
@@ -155,7 +151,7 @@ class Word:
     def as_map(self) -> Callable[[int], int]:
         """The word as a map, its exponent tables as its fast path:
         consumers that need 1..max_n read them, its values included."""
-        return _RangeMap(lambda n: eval_word(self, n), tables=lambda max_n: self._maps)
+        return _RangeMap(lambda n: eval_word(self, n), tables=self._maps)
 
     def __repr__(self):
         return "Word[" + " ".join(repr(g) for g in self.gens) + "]"

@@ -3,8 +3,9 @@
 Everything here is deliberately brute force and shares no code path with the
 library: the Moebius function comes from its defining recursion, orbit counts
 from enumerating strings, products from integer Cauchy convolution, powers
-from the generalized binomial series, and realizability from greedily
-building an orbit multiset. The zeta recurrences on Fraction and the quadratic
+from the generalized binomial series, the zeta series of a full shift
+time-changed by a spec from a product of such powers, and realizability from
+greedily building an orbit multiset. The zeta recurrences on Fraction and the quadratic
 divisibility scan are the reference versions of the library's integer and
 multiples-walk kernels; the per-generator range passes, the scanning prefix
 equality and the per-n compile check are the reference versions of its
@@ -26,8 +27,9 @@ version of the relation search on exact per-prime keys.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 import json
-from math import gcd
+from math import gcd, prod
 import random
 
 
@@ -107,6 +109,33 @@ def binomial_power(c, d, r, order):
         term = term * (Fraction(r) - k) / (k + 1)
         k += 1
     return coeffs
+
+
+def time_changed_shift_zeta(tables, base, order):
+    """Coefficients 0..order of the zeta series of the full shift on base
+    symbols time-changed by the spec map h whose exponent tables are tables
+    (prime -> [phi_p(0), phi_p(1), ...], covering every v with
+    p**v <= order), from the closed form
+
+        prod over v with P <= order, prod over d | rad S:
+            (1 - base**(d Q) z**(d P)) ** (-mu(d) / (d P))
+
+    where v runs over the valuation vectors at the primes S of tables, P =
+    prod p**v_p and Q = prod p**phi_p(v_p). It is the log series
+    sum base**h(n) z**n / n split by v: n = P m with m coprime to S gives
+    h(n) = Q m, and the m coprime to S are counted by inclusion-exclusion
+    over d. Each factor is its own binomial series, in Fraction."""
+    primes = sorted(tables)
+    out = [Fraction(1)] + [Fraction(0)] * order
+    for vec in product(*(range(len(tables[p])) for p in primes)):
+        big_p = prod(p**v for p, v in zip(primes, vec))
+        big_q = prod(p ** tables[p][v] for p, v in zip(primes, vec))
+        for bits in product((0, 1), repeat=len(primes)):
+            d = prod(p for p, bit in zip(primes, bits) if bit)
+            if d * big_p <= order:
+                r = Fraction(-(-1) ** sum(bits), d * big_p)
+                out = int_series_mul(out, binomial_power(-base ** (d * big_q), d * big_p, r, order))
+    return out
 
 
 def naive_normal_form(gens):

@@ -334,6 +334,15 @@ ERROR_FILES = {
             ["preimage", "--map", "gen:g:3317044064679887385961981:0", "--k", "2", "--max-n", "10"],
             "3317044064679887385961981 is not prime",
         ),
+        # mul:C is factored when parsed: the library's own errors still come first
+        (
+            ["apply", "--map", "mul:6", "--source", "reg:2", "--max-n", "0"],
+            "length must be >= 1",
+        ),
+        (
+            ["membership-test", "--map", "mul:6", "--max-k", "0", "--max-n", "10"],
+            "max_k and max_n must be >= 1",
+        ),
     ],
 )
 def test_library_errors_exit_2_with_their_message(capsys, tmp_path, argv, message):

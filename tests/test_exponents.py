@@ -195,22 +195,44 @@ class TestSpecFromWord:
     def test_tables_are_valuations_of_prime_power_images(self, seed, length, max_level):
         word = random_word(seed, length, 11, 5)
         spec = spec_from_word(word, 11, max_level)
+        capped = {g.prime for g in word.gens if g.kind == "h"}
         for p, fn in spec.functions.items():
-            assert fn.shape == "unbounded"
-            assert fn.values == tuple(
-                valuation(p, eval_word(word, p**v)) for v in range(max_level + 1)
+            # a capped prime is bounded, read on to its table's end, and
+            # constant past it; any other is unbounded on 0..max_level
+            assert fn.shape == ("bounded" if p in capped else "unbounded")
+            assert len(fn.values) == max_level + 1 or p in capped and len(fn.values) > max_level
+            size = len(fn.values) + (2 if p in capped else 0)
+            assert tuple(fn.value(v) for v in range(size)) == tuple(
+                valuation(p, eval_word(word, p**v)) for v in range(size)
             )
 
     def test_a_capped_word_compiles_only_when_read_as_bounded(self):
-        # the cap drops the table of 2 below its index at 2: (0, 1, 1, 1, 1)
+        # the cap drops the table of 2 below its index at 2: (0, 1, 1, 1, 1),
+        # which only the bounded shape allows, and spec_from_word stores it so
         spec = spec_from_word(Word((C(2, 1),)), 3, 4)
-        assert spec.functions[2] == ExponentFunction.unbounded((0, 1, 1, 1, 1))
+        assert spec.functions[2] == ExponentFunction.bounded((0, 1, 1, 1, 1))
+        assert spec.functions[3] == ExponentFunction.unbounded((0, 1, 2, 3, 4))
+        # exact at every n on 2, and on 3 up to 3**4
+        result = compile_spec(spec)
+        assert (result.word, result.agreement) == (Word((C(2, 1),)), {3: 4})
+        unbounded = ExponentSpec({**spec.functions, 2: ExponentFunction.unbounded((0, 1, 1, 1, 1))})
         with pytest.raises(InvalidSpecError, match="value 1 at index 2 is below the index"):
-            compile_spec(spec)
-        bounded = ExponentSpec({p: ExponentFunction.bounded(fn.values)
-                                for p, fn in spec.functions.items()})
-        # read as bounded, every table is capped at its last entry: exact up to 2**4, 3**4
-        assert compile_spec(bounded).word == Word((C(2, 1), C(3, 4)))
+            compile_spec(unbounded)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(0, 14), st.integers(0, 4),
+           st.sampled_from([None, *PRIMES_7]), st.integers(0, 4))
+    def test_spec_of_a_word_compiles_back_to_the_word(self, seed, length, max_level, cap_prime,
+                                                      cap_level):
+        word = random_word(seed, length, 7, 4)
+        if cap_prime is not None:
+            word = Word((*word.gens, C(cap_prime, cap_level)))
+        result = compile_spec(spec_from_word(word, 7, max_level))
+        # 1..300, and each prime's powers far past every table, times the rest
+        points = [*range(1, 301)]
+        points += [p**e * 2310 // p for p in PRIMES_7 for e in range(max_level + 9)]
+        for n in filter(result.admits, points):
+            assert eval_word(result.word, n) == eval_word(word, n), (word, n)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 10**6), st.integers(0, 14), st.integers(0, 4),
@@ -374,7 +396,7 @@ class TestSpecCut:
     )
     @settings(max_examples=300, deadline=None)
     def test_cut_matches_the_per_n_reading(self, functions, max_n):
-        maps = _spec_map(build_spec(functions)).tables(max_n)
+        maps = _spec_map(build_spec(functions)).tables
         assert maps.cut(max_n) == spec_tables_upto(functions, max_n)
 
 
@@ -545,7 +567,7 @@ class TestTablePath:
         monkeypatch.setattr(exponents, "_map_values", refuse)
         monkeypatch.setattr(exponents, "_map_residues", refuse)
         maps = [random_word(seed, seed % 15, 13, 4).as_map() for seed in range(20)]
-        maps += [Word().as_map(), parse_map("gen:h:3:1"), _spec_map(CONSTANT2), _spec_map(SQUARING)]
+        maps += [Word().as_map(), parse_map("gen:h:3:1", 31), _spec_map(CONSTANT2), _spec_map(SQUARING)]
         for f in maps:
             assert membership_test(f, 24, 31).certificate is not None
             assert check_divisibility_properties(f, 31).all_hold
@@ -554,10 +576,10 @@ class TestTablePath:
 
     def test_generator_maps_answer_at_a_trillion(self):
         big = 10**12
-        got = preimage_structure(parse_map("gen:g:2:1"), 4, big)
+        got = preimage_structure(parse_map("gen:g:2:1", big), 4, big)
         assert got == PreimageStructure.progression(4, big, 2)
-        assert check_divisibility_properties(parse_map("gen:h:3:1"), big).all_hold
-        report = membership_test(parse_map("gen:g:2:0"), 24, big)
+        assert check_divisibility_properties(parse_map("gen:h:3:1", big), big).all_hold
+        report = membership_test(parse_map("gen:g:2:0", big), 24, big)
         assert not report.refuted and report.certificate is not None
 
     def test_certificate_holds_the_tables(self):

@@ -149,7 +149,7 @@ class TestRangeValues:
 
     def test_parsed_generator_map(self):
         for text, gen in [("gen:h:3:2", C(3, 2)), ("gen:g:2:0", B(2, 0)), ("generator:g:5:1", B(5, 1))]:
-            f = parse_map(text)
+            f = parse_map(text, 300)
             assert list(_map_values(f, 300)) == [eval_word(Word((gen,)), n) for n in range(1, 301)]
 
     @settings(max_examples=80, deadline=None)
@@ -192,7 +192,7 @@ class TestEveryParsedMapKind:
                  "gen:g:2:1", f"word:{word}", f"spec:{SPEC_DIR / 'squaring.json'}",
                  f"spec:{SPEC_DIR / 'constant2.json'}", f"spec:{SPEC_DIR / 'doubling.json'}"]
         for name in names:
-            f = parse_map(name)
+            f = parse_map(name, max_n)
             # doubling.json's table ends at 2**2: its values stop before n = 8, then raise
             got = prefix_then_error(_map_values(f, max_n))
             assert got == pointwise_prefix(f, max_n), name
@@ -206,7 +206,7 @@ class TestEveryParsedMapKind:
                  *POWER_MAPS, "succ", "gen:g:2:1", "gen:h:101:0", f"word:{word}",
                  f"spec:{SPEC_DIR / 'squaring.json'}", f"spec:{SPEC_DIR / 'doubling.json'}"]
         for name in names:
-            f = parse_map(name)
+            f = parse_map(name, max_n)
             got = outcome(lambda: divisibility_dict(check_divisibility_properties(f, max_n)))
             expected = outcome(lambda: divisibility_counterexamples(pointwise_values(f, max_n)))
             assert got == expected, name
@@ -217,15 +217,19 @@ class TestMulTables:
     give the results and CLI bytes of the plain callable n -> C * n."""
 
     # C = 101 is a prime above some max_n, 10007 and 10**25 + 13 above all;
-    # 10007 * 10009 >= (max_n + 1)**2 for every max_n here, so it has no
-    # tables
-    FACTORS = (1, 2, 12, 101, 10007, 10007 * 10009, 10**25 + 13)
+    # 10007 * 10009 >= (2 * max_n + 1)**2 for every max_n here, so it has no
+    # tables; 11 * 13 has none when parsed at N <= 10, and tables above
+    FACTORS = (1, 2, 12, 101, 10007, 10007 * 10009, 10**25 + 13, 11 * 13)
 
     @pytest.mark.parametrize("c", FACTORS)
     @pytest.mark.parametrize("max_n", [1, 7, 100, 300])
     def test_consumers_against_the_plain_callable(self, c, max_n):
+        # parsed at max_n // 2, max_n or 2 * max_n, the map answers on
+        # 1..max_n: the tables found at any N are exact at every N
         plain = lambda n: c * n
-        for f in (parse_map(f"mul:{c}"),) + ((parse_map("identity"),) if c == 1 else ()):
+        maps = [parse_map(name, at) for at in (max_n // 2, max_n, 2 * max_n)
+                for name in [f"mul:{c}"] + (["identity"] if c == 1 else [])]
+        for f in maps:
             for k in sorted({1, 2, 4, 6, 7, 12, c, max_n} & set(range(1, max_n + 1))):
                 assert preimage_structure(f, k, max_n) == preimage_structure(plain, k, max_n)
             assert check_divisibility_properties(f, max_n) == check_divisibility_properties(
@@ -256,26 +260,26 @@ class TestMulTables:
         for name in names:
             got = [run([req[0], "--map", name, *req[1:]]) for req in requests]
             with monkeypatch.context() as patch:
-                patch.setattr("dynzeta.cli.parse_map", lambda text: lambda n: c * n)
+                patch.setattr("dynzeta.cli.parse_map", lambda text, max_n: lambda n: c * n)
                 expected = [run([req[0], "--map", name, *req[1:]]) for req in requests]
             assert got == expected, name
 
     def test_tables(self):
-        assert parse_map("identity").tables(100).cut(100) == {}
-        assert parse_map("mul:1").tables(100).cut(100) == {}
-        assert parse_map("mul:12").tables(30).cut(30) == {2: [2, 3, 4, 5, 6], 3: [1, 2, 3, 4]}
+        assert parse_map("identity", 100).tables.cut(100) == {}
+        assert parse_map("mul:1", 100).tables.cut(100) == {}
+        assert parse_map("mul:12", 30).tables.cut(30) == {2: [2, 3, 4, 5, 6], 3: [1, 2, 3, 4]}
         # a prime cofactor left when d * d passes it, and one above max_n
-        assert parse_map("mul:101").tables(300).cut(300) == {101: [1, 2]}
-        assert parse_map("mul:202").tables(100).cut(100) == {2: [1, 2, 3, 4, 5, 6, 7], 101: [1]}
-        assert parse_map(f"mul:{10007 * 10009}").tables(10007).cut(10007) == {10007: [1, 2], 10009: [1]}
+        assert parse_map("mul:101", 300).tables.cut(300) == {101: [1, 2]}
+        assert parse_map("mul:202", 100).tables.cut(100) == {2: [1, 2, 3, 4, 5, 6, 7], 101: [1]}
+        assert parse_map(f"mul:{10007 * 10009}", 10007).tables.cut(10007) == {10007: [1, 2], 10009: [1]}
 
     def test_a_cofactor_that_is_not_split_is_read_by_its_point_rule(self):
         # 10007 * 10009 >= 101**2: C is divided by the primes <= 100 only,
         # and then the map has no tables at max_n = 100
         c = 10007 * 10009
-        f = parse_map(f"mul:{c}")
-        assert f.tables(100) is None
-        assert parse_map(f"mul:{101**2}").tables(100) is None  # 101**2 is not prime
+        f = parse_map(f"mul:{c}", 100)
+        assert f.tables is None
+        assert parse_map(f"mul:{101**2}", 100).tables is None  # 101**2 is not prime
         calls = []
         point = f.point
         f.point = lambda n: calls.append(n) or point(n)
@@ -284,19 +288,19 @@ class TestMulTables:
 
     def test_answers_at_a_trillion(self):
         big = 10**12
-        got = preimage_structure(parse_map("mul:6"), 4, big)
+        got = preimage_structure(parse_map("mul:6", big), 4, big)
         assert got == PreimageStructure.progression(4, big, 2)
-        assert check_divisibility_properties(parse_map("mul:12"), big).all_hold
-        report = membership_test(parse_map("mul:2"), 24, big)
+        assert check_divisibility_properties(parse_map("mul:12", big), big).all_hold
+        report = membership_test(parse_map("mul:2", big), 24, big)
         assert not report.refuted and report.certificate is not None
-        assert membership_test(parse_map("identity"), 24, big).certificate == ExponentSpec({})
+        assert membership_test(parse_map("identity", big), 24, big).certificate == ExponentSpec({})
 
     def test_a_prime_factor_of_any_size_is_keyed(self, capsys):
         # C is prime, so its division stops at once instead of running
         # through the candidates <= max_n
         c, big = 10**25 + 13, 10**12
-        assert parse_map(f"mul:{c}").tables(big).cut(big) == {c: [1]}
-        assert parse_map(f"mul:{2 * c}").tables(100).cut(100) == {2: [1, 2, 3, 4, 5, 6, 7], c: [1]}
+        assert parse_map(f"mul:{c}", big).tables.cut(big) == {c: [1]}
+        assert parse_map(f"mul:{2 * c}", 100).tables.cut(100) == {2: [1, 2, 3, 4, 5, 6, 7], c: [1]}
         assert main(["preimage", "--map", f"mul:{c}", "--k", "4", "--max-n", str(big)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out == {"outcome": "progression", "k": 4, "max_n": big, "step": 4}
@@ -308,7 +312,7 @@ class TestRangePathIsTaken:
         maps = [
             _spec_map(spec),
             random_word(4, 12, 7, 3).as_map(),
-            parse_map("gen:g:3:1"),
+            parse_map("gen:g:3:1", 300),
         ]
 
         def refuse(*args):
@@ -552,12 +556,12 @@ def reference_report(f, max_k, max_n):
     return MembershipReport(max_k, max_n, MembershipWitness(k, RealizabilityVerdict(failure, n, b)))
 
 
-def every_kind_of_map(seed):
-    """Word, compiled word, generator and spec maps, the CLI's named maps,
-    and each of them again as a plain callable."""
+def every_kind_of_map(seed, max_n):
+    """Word, compiled word, generator and spec maps, the CLI's named maps
+    parsed for 1..max_n, and each of them again as a plain callable."""
     maps = random_range_maps(seed)
     for text in (*POWER_MAPS, "succ", "identity", "mul:6", "gen:h:2:1"):
-        maps[text] = parse_map(text)
+        maps[text] = parse_map(text, max_n)
     for name, f in list(maps.items()):
         maps[f"plain {name}"] = lambda n, f=f: f(n)
     return maps
@@ -572,22 +576,22 @@ class TestPackedProbes:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6), st.integers(1, 150), st.integers(1, 2 * _LANES + 8))
     def test_every_kind_of_map_against_per_probe_loop(self, seed, max_n, max_k):
-        for name, f in every_kind_of_map(seed).items():
+        for name, f in every_kind_of_map(seed, max_n).items():
             assert membership_test(f, max_k, max_n) == reference_report(f, max_k, max_n), name
 
     @pytest.mark.parametrize("max_k, max_n", [(1, 1), (1, 300), (70, 1), (3 * _LANES + 5, 2)])
     def test_smallest_ranges(self, max_k, max_n):
-        for name, f in every_kind_of_map(max_k + max_n).items():
+        for name, f in every_kind_of_map(max_k + max_n, max_n).items():
             assert membership_test(f, max_k, max_n) == reference_report(f, max_k, max_n), name
 
     @pytest.mark.parametrize("max_k", [_LANES, _LANES + 1, 2 * _LANES, 3 * _LANES + 5])
     def test_more_than_one_block(self, max_k):
         # members pass every block; the tower map fails in the first one
         for text in ("identity", "pow:2", "gen:g:3:1"):
-            report = membership_test(parse_map(text), max_k, 400)
-            assert report == reference_report(parse_map(text), max_k, 400)
+            report = membership_test(parse_map(text, 400), max_k, 400)
+            assert report == reference_report(parse_map(text, 400), max_k, 400)
             assert report == MembershipReport(max_k, 400)
-        nn = parse_map("nn")
+        nn = parse_map("nn", 60)
         assert membership_test(nn, max_k, 60) == reference_report(nn, max_k, 60)
 
     @pytest.mark.parametrize(
@@ -643,7 +647,7 @@ class TestResiduePaths:
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(POWER_MAPS), st.integers(1, 300), st.integers(1, 10**40))
     def test_power_maps_against_full_values(self, name, max_n, modulus):
-        f = parse_map(name)
+        f = parse_map(name, max_n)
         assert _map_residues(f, max_n)(modulus) == [f(n) % modulus for n in range(1, max_n + 1)]
 
     @settings(max_examples=20, deadline=None)
@@ -661,8 +665,8 @@ class TestResiduePaths:
 
     @pytest.mark.parametrize("name", POWER_MAPS)
     def test_probes_never_build_the_full_powers(self, name):
-        intact = parse_map(name)
-        f = parse_map(name)
+        intact = parse_map(name, 500)
+        f = parse_map(name, 500)
 
         def refuse(n):
             raise AssertionError("built a full power")
@@ -704,7 +708,7 @@ class TestMembershipCLI:
     )
     @pytest.mark.parametrize("max_k, max_n", CASES)
     def test_output_bytes_match_the_per_probe_loop(self, capsys, text, max_k, max_n):
-        expected = self.expected_output(parse_map(text), max_k, max_n)
+        expected = self.expected_output(parse_map(text, max_n), max_k, max_n)
         assert self.run(capsys, text, max_k, max_n) == expected
 
     @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dynzeta.exponents import ExponentFunction, ExponentSpec, _spec_map, validate_spec
 from dynzeta.sequences import check_realizable, disjoint_union, fix_from_orbits
 from dynzeta.series import (
     ConstantTermNotOne,
@@ -32,6 +33,8 @@ from oracles import (
     int_series_mul,
     log_fix_from_zeta,
     random_orbit_counts,
+    spec_tables_upto,
+    time_changed_shift_zeta,
 )
 
 
@@ -446,3 +449,28 @@ class TestTwoShiftComparison:
         report = two_shift_comparison(2, 6)
         assert report.fix_entries == (2, 16, 8, 256, 32, 4096)
         assert [int(c) for c in report.direct.coeffs[:3]] == [1, 2, 10]
+
+
+class TestTimeChangedShiftClosedForm:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_spec_time_change_of_a_full_shift(self, seed):
+        # the two-shift product in general: any valid spec map and base,
+        # against the closed form of oracles.time_changed_shift_zeta
+        rng = random.Random(seed)
+        order, base = rng.randint(1, 20), rng.choice((2, 3))
+        functions = {}
+        for p in rng.sample((2, 3, 5), rng.randint(1, 2)):
+            values = [rng.randint(0, 1)]
+            while p ** len(values) <= order:
+                values.append(max(values[-1], len(values)) + rng.randint(0, 1))
+            shape = rng.choice(("bounded", "unbounded"))
+            if shape == "bounded":
+                values = values[: rng.randint(1, len(values))]
+            functions[p] = (shape, values)
+        spec = ExponentSpec({p: ExponentFunction(*fn) for p, fn in functions.items()})
+        assert validate_spec(spec) == []
+        entries = time_change_fix(_spec_map(spec), FixSource.geometric(base), order)
+        direct = zeta_from_fix(FixSource.table(entries), order)
+        closed = time_changed_shift_zeta(spec_tables_upto(functions, order), base, order)
+        assert list(direct.coeffs) == closed

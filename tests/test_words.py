@@ -117,7 +117,7 @@ class TestGenerator:
             (lambda: Generator("h", 9, 1), 9),
             (lambda: block_gadget(1, 0, 2), 1),
             (lambda: word_from_json({"gens": [{"kind": "g", "p": 15, "t": 0}]}), 15),
-            (lambda: parse_map("gen:h:6:1"), 6),
+            (lambda: parse_map("gen:h:6:1", 10), 6),
         ],
     )
     def test_public_construction_rejects_composites(self, build, p):
