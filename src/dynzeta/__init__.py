@@ -5,8 +5,8 @@ The pieces, bottom up:
 
     arith       factorization, valuations, Moebius, primes
     sequences   fixed-point count prefixes, realizability verdicts
-    series      exact rational power series, zeta both ways, time-changes
     words       bump/cap generator maps, words, normal forms
+    series      exact rational power series, zeta both ways, time-changes
     exponents   per-prime exponent specs, membership refutation
     compiler    specs compiled to words with explicit agreement sets
     jsonio      the JSON wire formats

@@ -28,7 +28,6 @@ from . import jsonio
 from .arith import _trial_division, is_prime
 from .compiler import compile_spec
 from .exponents import (
-    _spec_map,
     check_divisibility_properties,
     membership_test,
     preimage_structure,
@@ -73,23 +72,21 @@ def parse_map(text: str, max_n: int) -> Callable[[int], int]:
     """Resolve a map name to a callable on the positive integers, for a
     request that reads it on 1..max_n.
 
-    Beside its point rule a map has at most one fast path. `identity`,
-    `mul:C`, `gen:`, `word:` and `spec:` maps carry their exponent tables:
-    consumers take their values on 1..max_n from them in one pass, and the
-    membership probes, the preimage structure and the divisibility laws
-    answer from them alone when the tables serve (see dynzeta.exponents),
-    at N = 10**12 as fast as at N = 10. `mul:C` has the table [v_p(C)]
-    with tail 1 at each prime p of C, found once, here, by dividing C by
-    the primes <= max_n (_mul_tables); tables it finds hold at every N,
-    and a C it cannot split has none. `identity` is `mul:1`, whose set of
-    tables is empty. `nn` and `pow:B` carry a residue path instead, so
-    consumers that read only f(n) mod M (the membership probes, the
-    preimage structure) never build the powers. `succ` has neither.
+    `gen:`, `word:` and `spec:` maps are table maps (words._PrimeMaps, where
+    their fast path is told), and so are `identity` and `mul:C` when C is
+    split: the tables of n -> C * n are [v_p(C)] with tail 1 at each prime
+    p of C, found once, here (_mul_tables), exact at every N. A C that
+    cannot be split is the plain callable n -> C * n. `nn` and `pow:B` are
+    residue maps (series._RangeMap). `succ` is a plain callable.
+
+    As dividing C takes time linear in max_n, the commands that parse a map
+    first make the library's checks on their numbers, with its messages.
     """
     name, _, rest = text.partition(":")
     if name in ("identity", "mul"):
         c = 1 if name == "identity" else _positive_int(rest, "mul factor")
-        return _RangeMap(lambda n: c * n, tables=_mul_tables(c, max_n))
+        maps = _mul_tables(c, max_n)
+        return (lambda n: c * n) if maps is None else maps
     if name == "pow":
         b = _non_negative_int(rest, "pow exponent")
         return _RangeMap(
@@ -112,7 +109,7 @@ def parse_map(text: str, max_n: int) -> Callable[[int], int]:
     if name == "word":
         return _load_word(rest).as_map()
     if name == "spec":
-        return _spec_map(jsonio.spec_from_json(_load_json(rest)))
+        return jsonio.spec_from_json(_load_json(rest))._maps
     raise UsageError(f"unknown map {text!r}")
 
 
@@ -124,8 +121,7 @@ def _mul_tables(c: int, max_n: int) -> _PrimeMaps | None:
     division stops once the cofactor r is prime, which is then keyed
     whatever its size. So the tables, when there are any, are c's full
     factorization and exact at every N. A composite r > 1 has every prime
-    above max_n and cannot be split that way, and the map has no tables
-    (None): its consumers read it by its point rule.
+    above max_n and cannot be split that way: None.
     """
     pairs, r = _trial_division(c, max_n)
     if r > 1:
@@ -197,6 +193,8 @@ def cmd_zeta_check(args) -> tuple[int, dict]:
 
 
 def cmd_apply(args) -> tuple[int, dict]:
+    if args.max_n < 1:
+        raise ValueError("length must be >= 1")
     h = parse_map(args.map, args.max_n)
     source = parse_source(args.source)
     entries = time_change_fix(h, source, args.max_n)
@@ -260,6 +258,8 @@ def cmd_spec_compile(args) -> tuple[int, dict]:
 
 
 def cmd_membership_test(args) -> tuple[int, dict]:
+    if args.max_k < 1 or args.max_n < 1:
+        raise ValueError("max_k and max_n must be >= 1")
     f = parse_map(args.map, args.max_n)
     report = membership_test(f, args.max_k, args.max_n)
     if report.witness is None:
@@ -275,6 +275,10 @@ def cmd_membership_test(args) -> tuple[int, dict]:
 
 
 def cmd_preimage(args) -> tuple[int, dict]:
+    if args.k < 1:
+        raise ValueError("k must be >= 1")
+    if args.max_n < args.k:
+        raise ValueError(f"max_n = {args.max_n} must be at least k = {args.k}")
     f = parse_map(args.map, args.max_n)
     structure = preimage_structure(f, args.k, args.max_n)
     out = {"outcome": structure.outcome, "k": structure.k, "max_n": structure.max_n}
@@ -286,6 +290,8 @@ def cmd_preimage(args) -> tuple[int, dict]:
 
 
 def cmd_divisibility_check(args) -> tuple[int, dict]:
+    if args.max_n < 1:
+        raise ValueError("max_n must be >= 1")
     f = parse_map(args.map, args.max_n)
     report = check_divisibility_properties(f, args.max_n)
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import is_prime
-from .exponents import BOUNDED, ExponentSpec, SpecViolation, _spec_map, apply_spec, validate_spec
+from .exponents import BOUNDED, ExponentSpec, SpecViolation, apply_spec, validate_spec
 from .words import Generator, Word, eval_word
 
 __all__ = [
@@ -81,7 +81,7 @@ def compile_spec(spec: ExponentSpec) -> CompileResult:
     if violations:
         raise InvalidSpecError(violations)
     agreement = {p: fn.table_bound for p, fn in spec.functions.items() if fn.shape != BOUNDED}
-    return CompileResult(_spec_map(spec).tables.word(), agreement)
+    return CompileResult(spec._maps.word(), agreement)
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ def verify_compile(result: CompileResult, spec: ExponentSpec, max_n: int) -> Mis
             raise ValueError(f"{p} is not prime")
     if any(bound < 0 for bound in result.agreement.values()):
         return None  # no n is admitted
-    n = result.word._maps.first_difference(_spec_map(spec).tables, result.agreement, max_n)
+    n = result.word._maps.first_difference(spec._maps, result.agreement, max_n)
     if n is None:
         return None
     return Mismatch(n, eval_word(result.word, n), apply_spec(spec, n))

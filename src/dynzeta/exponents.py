@@ -17,20 +17,16 @@ by the identity (value >= index) on the whole table for unbounded shapes,
 respectively up to the eventual value for bounded ones.
 
 This module owns that format (the shapes BOUNDED and UNBOUNDED, and the
-checks), and reads a spec as the per-prime value words use
-(`words._PrimeMaps`, by _spec_map): a bounded table with a constant tail,
-an unbounded one with none. It is its map's one fast path, which
-compiler.verify_compile also compares with a word's.
-
-Every map the library builds has its point rule and at most one fast path
-(series._RangeMap): exponent tables (word, spec and generator maps, and
-the CLI's `identity` and `mul:C`) or residues (only the CLI's `nn` and
-`pow:B`). The map consumers here (membership probes, preimage structure,
-the divisibility laws) first ask a map for its tables. When every table
-covers its prime's exponents on 1..N (no unbounded spec table ends short)
-and is non-decreasing, f(n) = prod_p p**phi_p(v_p(n)) on 1..N with every
-phi_p non-decreasing (the identity off the tables), and the consumers
-answer from the tables alone, whatever the size of N (10**12 included):
+checks), and a spec's map is its tables (ExponentSpec._maps), the
+per-prime value words use: a bounded table with a constant tail, an
+unbounded one with none. Which maps are table maps, and how they are read,
+is told once, on that value (words._PrimeMaps). The map consumers here
+(membership probes, preimage structure, the divisibility laws) answer a
+table map from its tables alone (_tables), whatever the size of N (10**12
+included), when every table covers its prime's exponents on 1..N (no
+unbounded spec table ends short) and is non-decreasing: then f(n) =
+prod_p p**phi_p(v_p(n)) on 1..N with every phi_p non-decreasing (the
+identity off the tables), and
 
     divisibility laws: all three hold (check_divisibility_properties);
     preimage of the multiples of k: the multiples of one step read off
@@ -39,19 +35,13 @@ answer from the tables alone, whatever the size of N (10**12 included):
         entry below its index on, f agrees on 1..N with a word, so no probe
         fails, for any orbit length (membership_test).
 
-The tables never refute. Every other map (plain callables, the power maps,
-`succ`, short or non-monotone spec tables, `mul:C` with a composite
-cofactor the CLI could not split) is read through its values, so its
-errors, witnesses and counterexamples come from them; the divisibility laws
-are then tested along prime steps, in O(N log log N) tests. Like
-series.time_change_fix, that reading takes a map's values on 1..N once
-(series._map_values): off its tables where the map has them, by its point
-rule for the other maps the library builds, and one validated call per n
-for a plain callable. The membership probes and the preimage structure
-read only f(n) modulo a small M, so they ask for residues
-(series._map_residues): a map with a residue path computes them without
-its full values, and any other map's values are taken once as above (a
-plain callable's validated) and reduced for each M.
+The tables never refute. Any other map is read through its values on 1..N,
+taken once (series._map_values), so its errors, witnesses and
+counterexamples come from them; the divisibility laws are then tested
+along prime steps, in O(N log log N) tests. The membership probes and the
+preimage structure read only f(n) modulo a small M, so they ask for
+residues (series._map_residues), which the residue maps compute without
+their values (series._RangeMap).
 
 Membership testing is one-sided: a single-orbit time change that fails the
 realizability check refutes membership conclusively, while passing every
@@ -71,8 +61,8 @@ from typing import Callable, Mapping
 
 from .arith import _split, factorize, is_prime, primes_up_to
 from .sequences import DOLD, SIGN, RealizabilityVerdict, _mobius_sieve
-from .series import _map_residues, _map_values, _RangeMap
-from .words import Word, _check_int, _PrimeMaps
+from .series import _map_residues, _map_values
+from .words import TableRangeError, Word, _check_int, _PrimeMaps
 
 __all__ = [
     "BOUNDED",
@@ -99,18 +89,6 @@ UNBOUNDED = "unbounded"
 
 NON_DECREASING = "non-decreasing"
 LOWER_BOUND = "exponent-lower-bound"
-
-
-class TableRangeError(ValueError):
-    """An unbounded-shape table was asked beyond its last entry; prime is
-    None when the table was asked without one."""
-
-    def __init__(self, prime: int | None, exponent: int, bound: int):
-        self.prime = prime
-        self.exponent = exponent
-        self.bound = bound
-        table = "table" if prime is None else f"table for prime {prime}"
-        super().__init__(f"{table} covers exponents 0..{bound}, asked for {exponent}")
 
 
 @dataclass(frozen=True)
@@ -172,14 +150,26 @@ class ExponentSpec:
 
     def __post_init__(self):
         funcs = dict(self.functions)
-        for p in funcs:
+        for p, fn in funcs.items():
             _check_int(p, "prime")
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
+            if not isinstance(fn, ExponentFunction):
+                raise ValueError(f"prime {p}: {fn!r} is not an ExponentFunction")
         object.__setattr__(self, "functions", {p: funcs[p] for p in sorted(funcs)})
 
     def primes(self) -> list[int]:
         return list(self.functions)
+
+    @property
+    def _maps(self) -> _PrimeMaps:
+        """The map the spec describes, as its tables: a bounded function's
+        values with a constant tail, an unbounded one's with none, so the
+        map raises at p**(bound + 1) the TableRangeError apply_spec raises
+        there. Built on each call, as functions is a dict a caller can
+        still change."""
+        return _PrimeMaps({p: (list(fn.values), 0 if fn.shape == BOUNDED else None)
+                           for p, fn in self.functions.items()})
 
 
 @dataclass(frozen=True)
@@ -237,26 +227,14 @@ def apply_spec(spec: ExponentSpec, n: int) -> int:
     return out * rest
 
 
-def _spec_map(spec: ExponentSpec) -> _RangeMap:
-    """The map a spec describes, with its tables as its fast path: a bounded
-    function's values with a constant tail, an unbounded one's with none. A
-    short unbounded table first fails at n = p**(bound + 1), the smallest
-    such power: a range read gives the values before it, then the same
-    TableRangeError that apply_spec raises there."""
-    return _RangeMap(lambda n: apply_spec(spec, n), tables=_PrimeMaps(
-        {p: (list(fn.values), 0 if fn.shape == BOUNDED else None)
-         for p, fn in spec.functions.items()}))
-
-
 def _tables(f: Callable[[int], int], max_n: int) -> dict[int, list[int]] | None:
-    """f's exponent tables {p: table} cut to 1..max_n (_PrimeMaps.cut), when
-    f carries them (word, spec and generator maps, and the CLI's `identity`
-    and `mul:C`), every table covers the exponents v with p**v <= max_n
-    (no unbounded spec table ends short) and every table is non-decreasing;
-    else None, and the consumer reads f's values."""
-    if not isinstance(f, _RangeMap) or f.tables is None:
+    """The tables of a table map f (words._PrimeMaps) cut to 1..max_n, when
+    every table covers the exponents v with p**v <= max_n (no unbounded
+    spec table ends short) and is non-decreasing; else None, and the
+    consumer reads f's values."""
+    if not isinstance(f, _PrimeMaps):
         return None
-    tables = f.tables.cut(max_n)
+    tables = f.cut(max_n)
     for p, table in tables.items():
         if p ** len(table) <= max_n or any(a > b for a, b in zip(table, table[1:])):
             return None

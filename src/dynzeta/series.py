@@ -25,12 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .sequences import RealizabilityVerdict, check_realizable
-
-if TYPE_CHECKING:  # words imports this module
-    from .words import _PrimeMaps
+from .words import _PrimeMaps
 
 __all__ = [
     "Series",
@@ -284,24 +282,20 @@ def series_pow(f: Series, r) -> Series:
 
 
 class _RangeMap:
-    """A map on n >= 1 built by the library, with at most one fast path
-    beside its point rule `point(n)` (calling the map maps one n). A map
-    that acts prime by prime has the table path `tables`, its
-    words._PrimeMaps, a value that consumers cut to 1..max_n to read its
-    values and answers: word, spec and generator maps, and the CLI's
-    `identity` and `mul:C`, whose tables are None when C's primes were not
-    all found (see cli.parse_map). The CLI's power maps `pow:B` and `nn`
-    have the residue path `residues(max_n, modulus)`, which lists
-    f(1..max_n) mod modulus without building the powers, and no tables."""
+    """A residue map: a map on n >= 1 whose residues(max_n, modulus) lists
+    f(1..max_n) mod modulus without building its values, beside its point
+    rule point(n) (calling the map maps one n). The CLI's power maps
+    `pow:B` and `nn` are the residue maps; consumers that read only f(n)
+    mod M (the membership probes, the preimage structure) ask for residues
+    (_map_residues), and every other consumer takes its values by point
+    (_map_values). The table maps are words._PrimeMaps."""
 
-    __slots__ = ("point", "residues", "tables")
+    __slots__ = ("point", "residues")
 
     def __init__(self, point: Callable[[int], int],
-                 residues: Callable[[int, int], list[int]] | None = None,
-                 tables: _PrimeMaps | None = None):
+                 residues: Callable[[int, int], list[int]]):
         self.point = point
         self.residues = residues
-        self.tables = tables
 
     def __call__(self, n: int) -> int:
         return self.point(n)
@@ -314,19 +308,21 @@ def _map_values(f: Callable[[int], int], max_n: int,
                 invalid: str = _INVALID_VALUE) -> Iterator[int]:
     """f(1), ..., f(max_n) in order, each taken once.
 
-    A map built by the library gives those its tables cover in one pass of
-    their kernel, and the rest by its point rule: all of them for a map
-    without tables, none for a word, and for a spec whose unbounded table
-    ends short, the first point that table misses, where apply_spec raises.
-    A plain callable is called per n, and each value must be an int >= 1
-    and not a bool, else ValueError(invalid.format(n=n, m=m)) at the first
-    bad n. Either way nothing after the first failing n is produced, so a
+    A table map (words._PrimeMaps) gives them in one pass of its kernel,
+    up to the first point a table without a tail misses, where its point
+    rule raises, and a residue map (_RangeMap) by its point rule. A plain
+    callable is called per n, and each value must be an int >= 1 and not a
+    bool, else ValueError(invalid.format(n=n, m=m)) at the first bad n.
+    Either way nothing after the first failing n is produced, so a
     consumer sees values and errors in the order of n.
     """
-    if isinstance(f, _RangeMap):
-        values = [] if f.tables is None else f.tables.values(max_n)
+    if isinstance(f, _PrimeMaps):
+        values = f.values(max_n)
         yield from values
-        yield from map(f.point, range(len(values) + 1, max_n + 1))
+        yield from map(f, range(len(values) + 1, max_n + 1))
+        return
+    if isinstance(f, _RangeMap):
+        yield from map(f.point, range(1, max_n + 1))
         return
     for n in range(1, max_n + 1):
         m = f(n)
@@ -338,12 +334,12 @@ def _map_values(f: Callable[[int], int], max_n: int,
 def _map_residues(f: Callable[[int], int], max_n: int) -> Callable[[int], list[int]]:
     """modulus -> [f(1) % modulus, ..., f(max_n) % modulus].
 
-    A map with a residue path (the CLI's power maps) answers each modulus
-    without building its values. Any other map's values are taken once,
-    here, through _map_values (validated there, so errors surface in the
-    order of n), and reduced for each modulus.
+    A residue map (_RangeMap) answers each modulus without building its
+    values. Any other map's values are taken once, here, through
+    _map_values (validated there, so errors surface in the order of n), and
+    reduced for each modulus.
     """
-    if isinstance(f, _RangeMap) and f.residues is not None:
+    if isinstance(f, _RangeMap):
         return lambda modulus: f.residues(max_n, modulus)
     values = list(_map_values(f, max_n))
     return lambda modulus: [m % modulus for m in values]
@@ -352,8 +348,8 @@ def _map_residues(f: Callable[[int], int], max_n: int) -> Callable[[int], list[i
 def time_change_fix(h: Callable[[int], int], source: FixSource, length: int) -> list[int]:
     """Prefix of the time-changed counts: entry n is a_{h(n)}.
 
-    The values of h are taken once, through its exponent tables when it has
-    them (see _map_values). Counts are read in the order of n, so a failing
+    The values of h are taken once, through its tables when it is a table
+    map (see _map_values). Counts are read in the order of n, so a failing
     source lookup is reported before a map error at a larger n.
     """
     if length < 1:

@@ -19,17 +19,16 @@ tables (_PrimeMaps.word): the shortest word with their map, bumps first,
 then caps. It depends on the map alone, so the normal form it gives is
 canonical, and compile_spec builds its words with it from a spec's tables.
 
-_PrimeMaps is the per-prime value that words and exponent specs share: a
-table and its tail per prime, whatever N (a spec's is read by exponents,
-which owns the spec format). Range evaluation, prefix equality and the
-compile check read it cut to 1..N (_PrimeMaps.cut), and so do the
-consumers of a word's map: its tables are its one fast path
-(Word.as_map). equal_upto decides equality on a prefix 1..N and returns a
-disagreement as the smallest witness (first_difference); two words are
-equal at every n exactly when their normal forms are identical.
+_PrimeMaps is the per-prime value that words and exponent specs share, and
+a word's map is that value itself (Word.as_map): its docstring tells which
+maps are table maps and how their consumers read them. equal_upto decides
+equality on a prefix 1..N and returns a disagreement as the smallest
+witness (first_difference); two words are equal at every n exactly when
+their normal forms are identical.
 
-Every generator built is checked: the internal paths build theirs through
-_generator, which checks each distinct generator once and shares it.
+Every generator built is checked, and a word holds generators alone: the
+internal paths build theirs through _generator, which checks each
+distinct generator once and shares it.
 
 The CLI's relation search (_coincidences) makes one pass per drawn word on
 plain (kind, prime, level) values: random_word's draw loop, the fold into
@@ -47,7 +46,6 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .arith import _split, is_prime, primes_up_to
-from .series import _RangeMap
 
 __all__ = [
     "BUMP",
@@ -129,7 +127,11 @@ class Word:
     gens: tuple[Generator, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "gens", tuple(self.gens))
+        gens = tuple(self.gens)
+        for i, g in enumerate(gens):
+            if not isinstance(g, Generator):
+                raise ValueError(f"word entry {i} is {g!r}, not a Generator")
+        object.__setattr__(self, "gens", gens)
 
     def __len__(self):
         return len(self.gens)
@@ -148,10 +150,9 @@ class Word:
         size = max([g.level for g in self.gens], default=0) + 2
         return _fold([(g.kind, g.prime, g.level) for g in self.gens], lambda p: list(range(size)))
 
-    def as_map(self) -> Callable[[int], int]:
-        """The word as a map, its exponent tables as its fast path:
-        consumers that need 1..max_n read them, its values included."""
-        return _RangeMap(lambda n: eval_word(self, n), tables=self._maps)
+    def as_map(self) -> _PrimeMaps:
+        """The word as a map: its exponent tables (Word._maps)."""
+        return self._maps
 
     def __repr__(self):
         return "Word[" + " ".join(repr(g) for g in self.gens) + "]"
@@ -165,16 +166,39 @@ def eval_word(word: Word, n: int) -> int:
     return n
 
 
-class _PrimeMaps(NamedTuple):
-    """A map on n >= 1 that acts prime by prime, as {p: (table, tail)}.
+class TableRangeError(ValueError):
+    """An unbounded-shape table was asked beyond its last entry; prime is
+    None when the table was asked without one."""
 
-    Entry v of the table of p is v_p of the image of every n with
+    def __init__(self, prime: int | None, exponent: int, bound: int):
+        self.prime = prime
+        self.exponent = exponent
+        self.bound = bound
+        table = "table" if prime is None else f"table for prime {prime}"
+        super().__init__(f"{table} covers exponents 0..{bound}, asked for {exponent}")
+
+
+class _PrimeMaps(NamedTuple):
+    """A map on n >= 1 that acts prime by prime, as {p: (table, tail)}:
+    n -> prod p**phi_p(v_p(n)) * (the part of n on the other primes).
+
+    Entry v of the table of p is phi_p(v), v_p of the image of every n with
     v_p(n) == v; a prime without a table keeps its exponents. Past the
     table each exponent adds tail to the entry before: 1 (a word without a
     cap, `mul:C`), 0 (a cap, a bounded spec) or None, no entry (an
-    unbounded spec). Folded from a word by _fold, from a spec by
-    exponents._spec_map and for the CLI's `identity` and `mul:C` by
-    cli._mul_tables, it is these maps' one fast path, read on 1..N by cut.
+    unbounded spec). Calling the map maps one n, its one point rule.
+
+    The table maps are this value: a word's map (Word.as_map, folded by
+    _fold), generator maps included; a spec's (exponents.ExponentSpec._maps);
+    and the CLI's `identity` and `mul:C` when C is split (cli._mul_tables).
+    Their consumers read the tables, never one n at a time:
+    series._map_values takes the values on 1..N in one pass (values), up to
+    the first point a table without a tail misses, where the point rule
+    raises TableRangeError; and the membership probes, the preimage
+    structure and the divisibility laws answer from the tables cut to 1..N
+    alone (exponents._tables) when each covers its prime's exponents there
+    and is non-decreasing, at N = 10**12 as fast as at N = 10. Every other
+    map is read through its values, or its residues (series._RangeMap).
     """
 
     tables: dict[int, tuple[list[int], int | None]]
@@ -199,6 +223,21 @@ class _PrimeMaps(NamedTuple):
             return table[:length]
         last = table[-1]
         return table + (list(range(last + 1, last + 1 + extra)) if tail else [last] * extra)
+
+    def __call__(self, n: int) -> int:
+        """The image of n: each v = v_p(n) goes to entry v of p's table,
+        read on into its tail (read); past a table without a tail,
+        TableRangeError."""
+        if n < 1:
+            raise ValueError(f"the map acts on n >= 1, got {n}")
+        out = 1
+        for p in self.tables:
+            v, n = _split(n, p)
+            entries = self.read(p, v + 1)
+            if len(entries) <= v:
+                raise TableRangeError(p, v, len(entries) - 1)
+            out *= p ** entries[v]
+        return out * n
 
     def cut(self, max_n: int) -> dict[int, list[int]]:
         """The tables on 1..max_n: the entries v with p**v <= max_n of each

@@ -27,7 +27,6 @@ from dynzeta.compiler import compile_spec, verify_compile
 from dynzeta.exponents import (
     ExponentFunction,
     ExponentSpec,
-    _spec_map,
     apply_spec,
     membership_test,
     validate_spec,
@@ -82,7 +81,7 @@ def test_every_map_in_the_box():
         shape = all(has_member_shape(covered(p, t, max_n)) for p, t in tables.items())
         valid = not validate_spec(spec)
 
-        got = report_tuple(membership_test(_spec_map(spec), max_k, max_n))
+        got = report_tuple(membership_test(spec._maps, max_k, max_n))
         assert got == report_tuple(membership_test(plain, max_k, max_n)), tables
         assert (got is None) == shape, tables
         assert not valid or shape, tables

@@ -5,7 +5,13 @@ import pytest
 
 from dynzeta import cli
 from dynzeta.cli import main
-from dynzeta.exponents import apply_spec
+from dynzeta.exponents import (
+    apply_spec,
+    check_divisibility_properties,
+    membership_test,
+    preimage_structure,
+)
+from dynzeta.series import FixSource, time_change_fix
 from dynzeta.jsonio import compile_result_from_json, spec_from_json
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "demos" / "specs"
@@ -351,6 +357,46 @@ def test_library_errors_exit_2_with_their_message(capsys, tmp_path, argv, messag
     paths = {name: write_json(tmp_path / f"{name}.json", obj) for name, obj in ERROR_FILES.items()}
     argv = [arg.format_map(paths) for arg in argv]
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+# (C = (10**12 + 39) * (10**12 + 61)): its division by the primes <= max-n
+# takes time linear in max-n
+BIG_MUL = "mul:1000000000100000000002379"
+NUMBER_CHECKS = [
+    (["apply", "--source", "reg:2", "--max-n", "0"],
+     lambda: time_change_fix(lambda n: n, FixSource.single_orbit(2), 0)),
+    (["membership-test", "--max-k", "0", "--max-n", "1000000000000"],
+     lambda: membership_test(lambda n: n, 0, 10**12)),
+    (["preimage", "--k", "0", "--max-n", "1000000000000"],
+     lambda: preimage_structure(lambda n: n, 0, 10**12)),
+    (["preimage", "--k", "7", "--max-n", "5"], lambda: preimage_structure(lambda n: n, 7, 5)),
+    (["divisibility-check", "--max-n", "0"], lambda: check_divisibility_properties(lambda n: n, 0)),
+]
+
+
+def library_message(call):
+    with pytest.raises(ValueError) as err:
+        call()
+    return str(err.value)
+
+
+@pytest.mark.parametrize("argv, call", NUMBER_CHECKS)
+def test_numbers_are_checked_before_mul_is_factored(capsys, monkeypatch, argv, call):
+    # with the factoring broken, a request whose numbers fail exits 2 with
+    # the library's message, as its map is never parsed
+    def broken(c, max_n):
+        raise AssertionError("mul:C was factored")
+
+    monkeypatch.setattr(cli, "_mul_tables", broken)
+    argv = [argv[0], "--map", BIG_MUL, *argv[1:]]
+    assert run(capsys, *argv) == (2, "", f"error: {library_message(call)}\n")
+
+
+@pytest.mark.parametrize("argv, call", NUMBER_CHECKS)
+@pytest.mark.parametrize("bad_map", ["mul:x", "bogus", "gen:g:4:1", "spec:missing.json"])
+def test_a_bad_number_is_reported_before_a_bad_map(capsys, argv, call, bad_map):
+    argv = [argv[0], "--map", bad_map, *argv[1:]]
+    assert run(capsys, *argv) == (2, "", f"error: {library_message(call)}\n")
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,6 @@ from dynzeta.exponents import (
     ExponentSpec,
     PreimageStructure,
     TableRangeError,
-    _spec_map,
     apply_spec,
     check_divisibility_properties,
     membership_test,
@@ -122,6 +121,12 @@ class TestValidation:
          "only bounded functions have an eventual value"),
         (lambda: spec_from_word(Word(()), 5, max_level=-1), "max_level must be >= 0"),
         (lambda: preimage_structure(lambda n: n, 0, 5), "k must be >= 1"),
+        (lambda: SQUARING._maps(-1), "the map acts on n >= 1, got -1"),
+        # a function that is not an ExponentFunction failed later, in
+        # apply_spec and validate_spec, with AttributeError
+        (lambda: ExponentSpec({2: (1, 2)}), "prime 2: (1, 2) is not an ExponentFunction"),
+        (lambda: ExponentSpec({3: ExponentFunction.bounded([1]), 2: [0, 1]}),
+         "prime 2: [0, 1] is not an ExponentFunction"),
     ],
 )
 def test_argument_errors(call, message):
@@ -396,7 +401,7 @@ class TestSpecCut:
     )
     @settings(max_examples=300, deadline=None)
     def test_cut_matches_the_per_n_reading(self, functions, max_n):
-        maps = _spec_map(build_spec(functions)).tables
+        maps = build_spec(functions)._maps
         assert maps.cut(max_n) == spec_tables_upto(functions, max_n)
 
 
@@ -406,8 +411,8 @@ member_maps = st.one_of(
     st.builds(lambda c, b: lambda n: c * n**b, st.integers(1, 6), st.integers(0, 3)),
     st.builds(lambda seed, length: random_word(seed, length, 13, 4).as_map(),
               st.integers(0, 10**6), st.integers(0, 12)),
-    st.integers(0, 10**6).map(lambda seed: _spec_map(build_spec(random_valid_spec_tables(
-        random.Random(seed), (2, 3, 5, 7, 11), max_len=8, unbounded_min_len=8)))),
+    st.integers(0, 10**6).map(lambda seed: build_spec(random_valid_spec_tables(
+        random.Random(seed), (2, 3, 5, 7, 11), max_len=8, unbounded_min_len=8))._maps),
 )
 
 
@@ -495,7 +500,7 @@ table_spec_maps = st.one_of(
         )
     ),
     st.dictionaries(st.sampled_from(TABLE_PRIMES), raw_function, max_size=3).map(ExponentSpec),
-).map(_spec_map)
+).map(lambda spec: spec._maps)
 
 
 def outcome(thunk):
@@ -567,7 +572,7 @@ class TestTablePath:
         monkeypatch.setattr(exponents, "_map_values", refuse)
         monkeypatch.setattr(exponents, "_map_residues", refuse)
         maps = [random_word(seed, seed % 15, 13, 4).as_map() for seed in range(20)]
-        maps += [Word().as_map(), parse_map("gen:h:3:1", 31), _spec_map(CONSTANT2), _spec_map(SQUARING)]
+        maps += [Word().as_map(), parse_map("gen:h:3:1", 31), CONSTANT2._maps, SQUARING._maps]
         for f in maps:
             assert membership_test(f, 24, 31).certificate is not None
             assert check_divisibility_properties(f, 31).all_hold
@@ -593,14 +598,14 @@ class TestTablePath:
 
     def test_preimage_violation_from_the_tables(self):
         # 2 | f(n) from v_2(n) = 2 on: step 4 does not divide k = 2
-        f = _spec_map(build_spec({2: ("bounded", [0, 0, 1])}))
+        f = build_spec({2: ("bounded", [0, 0, 1])})._maps
         got = preimage_structure(f, 2, 64)
         assert got == PreimageStructure.violation(2, 64, 4)
         assert preimage_tuple(got) == pointwise_preimage(lambda n: f(n), 2, 64)
 
     def test_no_certificate_without_the_shape(self):
         # non-decreasing, but it rises again after dropping below its index
-        f = _spec_map(build_spec({2: ("bounded", [0, 0, 1])}))
+        f = build_spec({2: ("bounded", [0, 0, 1])})._maps
         report = membership_test(f, 24, 64)
         assert report.certificate is None
         assert report == membership_test(lambda n: f(n), 24, 64)

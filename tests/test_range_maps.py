@@ -11,7 +11,7 @@ byte for byte on the CLI.
 
 import json
 import random
-from math import lcm
+from math import lcm, prod
 from pathlib import Path
 
 import pytest
@@ -28,7 +28,6 @@ from dynzeta.exponents import (
     PreimageStructure,
     TableRangeError,
     _LANES,
-    _spec_map,
     apply_spec,
     check_divisibility_properties,
     membership_test,
@@ -42,7 +41,7 @@ from dynzeta.series import (
     _map_values,
     time_change_fix,
 )
-from dynzeta.words import Generator, Word, eval_word, random_word
+from dynzeta.words import Generator, Word, _PrimeMaps, eval_word, random_word
 
 from oracles import (
     MAP_VALUE,
@@ -129,7 +128,7 @@ def random_range_maps(seed):
         "word": word.as_map(),
         "compiled": compiled.as_map(),
         "gen": Word((gen,)).as_map(),
-        "spec": _spec_map(spec),
+        "spec": spec._maps,
     }
 
 
@@ -157,12 +156,12 @@ class TestRangeValues:
     def test_spec_of_both_shapes_with_short_tables(self, seed, max_n):
         # short unbounded tables included: same prefix, then the same error
         spec = random_spec(random.Random(seed), primes=(*PRIMES, 509, 10007), max_len=5)
-        got = prefix_then_error(_map_values(_spec_map(spec), max_n))
+        got = prefix_then_error(_map_values(spec._maps, max_n))
         assert got == pointwise_prefix(lambda n: apply_spec(spec, n), max_n)
 
     def test_spec_prime_above_max_n_applies_its_value_at_zero(self):
         spec = build_spec({10007: ("bounded", [2]), 2: ("unbounded", [1, 2, 3, 4, 5, 6, 7])})
-        assert list(_map_values(_spec_map(spec), 64)) == [
+        assert list(_map_values(spec._maps, 64)) == [
             apply_spec(spec, n) for n in range(1, 65)
         ]
         assert apply_spec(spec, 1) == 2 * 10007**2
@@ -170,7 +169,7 @@ class TestRangeValues:
     def test_short_table_fails_at_smallest_power(self):
         # 2**3 = 8 for prime 2 against 3**2 = 9 for prime 3: n = 8 comes first
         spec = build_spec({2: ("unbounded", [0, 1, 2]), 3: ("unbounded", [0, 1])})
-        values, error = prefix_then_error(_map_values(_spec_map(spec), 100))
+        values, error = prefix_then_error(_map_values(spec._maps, 100))
         assert values == [apply_spec(spec, n) for n in range(1, 8)]
         assert error == (TableRangeError, "table for prime 2 covers exponents 0..2, asked for 3")
         with pytest.raises(TableRangeError) as err:
@@ -179,7 +178,7 @@ class TestRangeValues:
 
     def test_short_table_beyond_max_n_is_not_reached(self):
         spec = build_spec({3: ("unbounded", [0, 1])})
-        assert list(_map_values(_spec_map(spec), 8)) == [1, 2, 3, 4, 5, 6, 7, 8]
+        assert list(_map_values(spec._maps, 8)) == [1, 2, 3, 4, 5, 6, 7, 8]
 
 
 class TestEveryParsedMapKind:
@@ -265,25 +264,23 @@ class TestMulTables:
             assert got == expected, name
 
     def test_tables(self):
-        assert parse_map("identity", 100).tables.cut(100) == {}
-        assert parse_map("mul:1", 100).tables.cut(100) == {}
-        assert parse_map("mul:12", 30).tables.cut(30) == {2: [2, 3, 4, 5, 6], 3: [1, 2, 3, 4]}
+        assert parse_map("identity", 100).cut(100) == {}
+        assert parse_map("mul:1", 100).cut(100) == {}
+        assert parse_map("mul:12", 30).cut(30) == {2: [2, 3, 4, 5, 6], 3: [1, 2, 3, 4]}
         # a prime cofactor left when d * d passes it, and one above max_n
-        assert parse_map("mul:101", 300).tables.cut(300) == {101: [1, 2]}
-        assert parse_map("mul:202", 100).tables.cut(100) == {2: [1, 2, 3, 4, 5, 6, 7], 101: [1]}
-        assert parse_map(f"mul:{10007 * 10009}", 10007).tables.cut(10007) == {10007: [1, 2], 10009: [1]}
+        assert parse_map("mul:101", 300).cut(300) == {101: [1, 2]}
+        assert parse_map("mul:202", 100).cut(100) == {2: [1, 2, 3, 4, 5, 6, 7], 101: [1]}
+        assert parse_map(f"mul:{10007 * 10009}", 10007).cut(10007) == {10007: [1, 2], 10009: [1]}
 
     def test_a_cofactor_that_is_not_split_is_read_by_its_point_rule(self):
         # 10007 * 10009 >= 101**2: C is divided by the primes <= 100 only,
         # and then the map has no tables at max_n = 100
         c = 10007 * 10009
         f = parse_map(f"mul:{c}", 100)
-        assert f.tables is None
-        assert parse_map(f"mul:{101**2}", 100).tables is None  # 101**2 is not prime
+        assert not isinstance(f, _PrimeMaps)
+        assert not isinstance(parse_map(f"mul:{101**2}", 100), _PrimeMaps)  # 101**2 is not prime
         calls = []
-        point = f.point
-        f.point = lambda n: calls.append(n) or point(n)
-        assert check_divisibility_properties(f, 100).all_hold
+        assert check_divisibility_properties(lambda n: calls.append(n) or f(n), 100).all_hold
         assert calls == list(range(1, 101))
 
     def test_answers_at_a_trillion(self):
@@ -299,18 +296,70 @@ class TestMulTables:
         # C is prime, so its division stops at once instead of running
         # through the candidates <= max_n
         c, big = 10**25 + 13, 10**12
-        assert parse_map(f"mul:{c}", big).tables.cut(big) == {c: [1]}
-        assert parse_map(f"mul:{2 * c}", 100).tables.cut(100) == {2: [1, 2, 3, 4, 5, 6, 7], c: [1]}
+        assert parse_map(f"mul:{c}", big).cut(big) == {c: [1]}
+        assert parse_map(f"mul:{2 * c}", 100).cut(100) == {2: [1, 2, 3, 4, 5, 6, 7], c: [1]}
         assert main(["preimage", "--map", f"mul:{c}", "--k", "4", "--max-n", str(big)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out == {"outcome": "progression", "k": 4, "max_n": big, "step": 4}
+
+
+# n = m * prod p**e: exponents far past every table below, on primes the
+# maps touch and on primes they do not
+points = st.builds(
+    lambda m, powers: m * prod(p**e for p, e in powers),
+    st.integers(1, 10**4),
+    st.lists(st.tuples(st.sampled_from((2, 3, 5, 7, 11, 13, 17, 10007)), st.integers(0, 24)),
+             max_size=4),
+)
+raw_specs = st.dictionaries(
+    st.sampled_from((2, 3, 5, 7)),
+    st.builds(ExponentFunction, st.sampled_from(("bounded", "unbounded")),
+              st.lists(st.integers(0, 9), min_size=1, max_size=5)),
+    max_size=3,
+).map(ExponentSpec)
+
+
+class TestPointRule:
+    """Calling a table map (_PrimeMaps) is its one point rule; it equals
+    the definitions of the maps it stands for."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(0, 14), points)
+    def test_word_maps_are_eval_word(self, seed, length, n):
+        word = random_word(seed, length, 13, 4)
+        assert word.as_map()(n) == eval_word(word, n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw_specs, points)
+    def test_spec_maps_are_apply_spec(self, spec, n):
+        # both shapes, valid or not, and short unbounded tables: the same
+        # value, or the same TableRangeError at the same n
+        assert outcome(lambda: spec._maps(n)) == outcome(lambda: apply_spec(spec, n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from((2, 3, 5, 7)), st.integers(0, 4)), max_size=3),
+           st.sampled_from((1, 101, 10**25 + 13)), st.integers(7, 300), points)
+    def test_split_mul_maps_are_c_times_n(self, powers, cofactor, max_n, n):
+        # the primes of C that are <= 7 <= max_n are divided out and the
+        # cofactor left is 1 or prime, so C is split at every max_n
+        c = prod(p**e for p, e in powers) * cofactor
+        f = parse_map(f"mul:{c}", max_n)
+        assert isinstance(f, _PrimeMaps)
+        assert f(n) == c * n
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_n_below_one(self, n):
+        for f in (random_word(5, 8, 7, 3).as_map(), Word().as_map(), parse_map("mul:12", 10)):
+            with pytest.raises(ValueError) as err:
+                f(n)
+            assert str(err.value) == f"the map acts on n >= 1, got {n}"
 
 
 class TestRangePathIsTaken:
     def test_consumers_never_map_one_n_at_a_time(self, monkeypatch):
         spec = build_spec({2: ("unbounded", list(range(1, 12))), 3: ("bounded", [0, 2])})
         maps = [
-            _spec_map(spec),
+            spec._maps,
             random_word(4, 12, 7, 3).as_map(),
             parse_map("gen:g:3:1", 300),
         ]
@@ -379,7 +428,7 @@ class TestShortTablesInEveryConsumer:
         ],
     )
     def test_same_table_range_error(self, consume):
-        got = outcome(lambda: consume(_spec_map(self.SPEC)))
+        got = outcome(lambda: consume(self.SPEC._maps))
         assert got == outcome(lambda: consume(self.pointwise()))
         assert got == (
             "raised", TableRangeError, "table for prime 2 covers exponents 0..3, asked for 4"
@@ -387,28 +436,28 @@ class TestShortTablesInEveryConsumer:
 
     def test_at_the_failing_n_every_consumer_raises(self):
         # max_n = 16 = 2**4 is the first point the table of 2 misses
-        f = _spec_map(self.SPEC)
+        f = self.SPEC._maps
         for consume in (lambda: membership_test(f, 12, 16), lambda: preimage_structure(f, 4, 16),
                         lambda: check_divisibility_properties(f, 16)):
             with pytest.raises(TableRangeError):
                 consume()
 
     def test_below_the_failing_n_all_consumers_run(self):
-        f = _spec_map(self.SPEC)
+        f = self.SPEC._maps
         assert not membership_test(f, 12, 15).refuted
         assert check_divisibility_properties(f, 15).all_hold
 
     def test_source_failure_before_the_table_is_reported_first(self):
         # the table source covers n <= 20; f(4) = 5 * 4 = 20, f(5) = 5**2 = 25
         source = FixSource.table(list(range(1, 21)))
-        for f in (_spec_map(self.SPEC), self.pointwise()):
+        for f in (self.SPEC._maps, self.pointwise()):
             with pytest.raises(SourceRangeError) as err:
                 time_change_fix(f, source, 40)
             assert str(err.value) == "table source covers n = 1..20, asked for n = 25"
 
     def test_table_failure_before_the_source_is_reported_first(self):
         source = FixSource.table(list(range(1, 10**4)))
-        got = outcome(lambda: time_change_fix(_spec_map(self.SPEC), source, 40))
+        got = outcome(lambda: time_change_fix(self.SPEC._maps, source, 40))
         assert got == outcome(lambda: pointwise_time_change_fix(self.pointwise(), source.value, 40))
         assert got[1] is TableRangeError
 
@@ -509,7 +558,7 @@ class TestPrimeSupport:
         monkeypatch.setattr(exponents, "factorize", counting)
         rng = random.Random(8)
         for _ in range(10):
-            assert check_divisibility_properties(_spec_map(random_spec(rng, max_len=9, unbounded_min_len=9)), 300).all_hold
+            assert check_divisibility_properties(random_spec(rng, max_len=9, unbounded_min_len=9)._maps, 300).all_hold
         assert check_divisibility_properties(lambda n: n**n, 300).prime_support.holds
         assert calls == []
         report = check_divisibility_properties(lambda n: 3 * n if n > 1 else 2, 300)

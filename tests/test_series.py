@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynzeta.exponents import ExponentFunction, ExponentSpec, _spec_map, validate_spec
+from dynzeta.exponents import ExponentFunction, ExponentSpec, validate_spec
 from dynzeta.sequences import check_realizable, disjoint_union, fix_from_orbits
 from dynzeta.series import (
     ConstantTermNotOne,
@@ -470,7 +470,7 @@ class TestTimeChangedShiftClosedForm:
             functions[p] = (shape, values)
         spec = ExponentSpec({p: ExponentFunction(*fn) for p, fn in functions.items()})
         assert validate_spec(spec) == []
-        entries = time_change_fix(_spec_map(spec), FixSource.geometric(base), order)
+        entries = time_change_fix(spec._maps, FixSource.geometric(base), order)
         direct = zeta_from_fix(FixSource.table(entries), order)
         closed = time_changed_shift_zeta(spec_tables_upto(functions, order), base, order)
         assert list(direct.coeffs) == closed

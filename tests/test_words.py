@@ -111,6 +111,19 @@ class TestGenerator:
         assert str(err.value) == message
 
     @pytest.mark.parametrize(
+        "gens, message",
+        [
+            ((1, 2), "word entry 0 is 1, not a Generator"),
+            ([Generator.bump(2, 0), ("h", 3, 1)], "word entry 1 is ('h', 3, 1), not a Generator"),
+        ],
+    )
+    def test_words_reject_entries_that_are_not_generators(self, gens, message):
+        # such a word failed later, in eval_word, with AttributeError
+        with pytest.raises(ValueError) as err:
+            Word(gens)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
         "build, p",
         [
             (lambda: B(4, 0), 4),
