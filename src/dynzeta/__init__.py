@@ -1,11 +1,12 @@
 """Exact arithmetic for dynamical zeta functions and the monoid of
 zeta-preserving time-changes.
 
-The pieces, bottom up:
+The pieces, bottom up; each imports only those above it, and series and
+exponents both sit on words, neither importing the other:
 
     arith       factorization, valuations, Moebius, primes
     sequences   fixed-point count prefixes, realizability verdicts
-    words       bump/cap generator maps, words, normal forms
+    words       bump/cap generator maps, words, normal forms, map kinds and readers
     series      exact rational power series, zeta both ways, time-changes
     exponents   per-prime exponent specs, membership refutation
     compiler    specs compiled to words with explicit agreement sets

@@ -34,8 +34,8 @@ from .exponents import (
     validate_spec,
 )
 from .sequences import check_realizable
-from .series import FixSource, _RangeMap, is_zeta, time_change_fix, zeta_from_fix
-from .words import Generator, Word, _coincidences, _PrimeMaps, eval_word, normal_form
+from .series import FixSource, is_zeta, time_change_fix, zeta_from_fix
+from .words import Generator, Word, _coincidences, _PrimeMaps, _ResidueMap, eval_word, normal_form
 
 __all__ = ["main"]
 
@@ -72,12 +72,11 @@ def parse_map(text: str, max_n: int) -> Callable[[int], int]:
     """Resolve a map name to a callable on the positive integers, for a
     request that reads it on 1..max_n.
 
-    `gen:`, `word:` and `spec:` maps are table maps (words._PrimeMaps, where
-    their fast path is told), and so are `identity` and `mul:C` when C is
-    split: the tables of n -> C * n are [v_p(C)] with tail 1 at each prime
-    p of C, found once, here (_mul_tables), exact at every N. A C that
-    cannot be split is the plain callable n -> C * n. `nn` and `pow:B` are
-    residue maps (series._RangeMap). `succ` is a plain callable.
+    `gen:`, `word:`, `spec:`, `identity` and `mul:C` with C split are table
+    maps, `pow:B` and `nn` residue maps, and `succ` and an unsplit `mul:C`
+    plain callables; dynzeta.words tells how each kind is read. The tables
+    of n -> C * n are [v_p(C)] with tail 1 at each prime p of C, found
+    once, here (_mul_tables), exact at every N.
 
     As dividing C takes time linear in max_n, the commands that parse a map
     first make the library's checks on their numbers, with its messages.
@@ -89,12 +88,12 @@ def parse_map(text: str, max_n: int) -> Callable[[int], int]:
         return (lambda n: c * n) if maps is None else maps
     if name == "pow":
         b = _non_negative_int(rest, "pow exponent")
-        return _RangeMap(
+        return _ResidueMap(
             lambda n: n**b,
             lambda max_n, modulus: [pow(n, b, modulus) for n in range(1, max_n + 1)],
         )
     if name == "nn":
-        return _RangeMap(
+        return _ResidueMap(
             lambda n: n**n,
             lambda max_n, modulus: [pow(n, n, modulus) for n in range(1, max_n + 1)],
         )

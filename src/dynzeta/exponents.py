@@ -19,14 +19,13 @@ respectively up to the eventual value for bounded ones.
 This module owns that format (the shapes BOUNDED and UNBOUNDED, and the
 checks), and a spec's map is its tables (ExponentSpec._maps), the
 per-prime value words use: a bounded table with a constant tail, an
-unbounded one with none. Which maps are table maps, and how they are read,
-is told once, on that value (words._PrimeMaps). The map consumers here
-(membership probes, preimage structure, the divisibility laws) answer a
-table map from its tables alone (_tables), whatever the size of N (10**12
-included), when every table covers its prime's exponents on 1..N (no
-unbounded spec table ends short) and is non-decreasing: then f(n) =
-prod_p p**phi_p(v_p(n)) on 1..N with every phi_p non-decreasing (the
-identity off the tables), and
+unbounded one with none. Which maps are table maps, residue maps or plain
+callables, and how each is read, is told once, in dynzeta.words. The map
+consumers here (membership probes, preimage structure, the divisibility
+laws) answer a table map from its tables alone, whatever the size of N
+(10**12 included), when each covers its prime's exponents on 1..N and is
+non-decreasing: then f(n) = prod_p p**phi_p(v_p(n)) on 1..N with every
+phi_p non-decreasing (the identity off the tables), and
 
     divisibility laws: all three hold (check_divisibility_properties);
     preimage of the multiples of k: the multiples of one step read off
@@ -36,12 +35,10 @@ identity off the tables), and
         fails, for any orbit length (membership_test).
 
 The tables never refute. Any other map is read through its values on 1..N,
-taken once (series._map_values), so its errors, witnesses and
-counterexamples come from them; the divisibility laws are then tested
-along prime steps, in O(N log log N) tests. The membership probes and the
-preimage structure read only f(n) modulo a small M, so they ask for
-residues (series._map_residues), which the residue maps compute without
-their values (series._RangeMap).
+so its errors, witnesses and counterexamples come from them; the
+divisibility laws are then tested along prime steps, in O(N log log N)
+tests, and the membership probes and the preimage structure read only
+f(n) modulo a small M.
 
 Membership testing is one-sided: a single-orbit time change that fails the
 realizability check refutes membership conclusively, while passing every
@@ -61,8 +58,8 @@ from typing import Callable, Mapping
 
 from .arith import _split, factorize, is_prime, primes_up_to
 from .sequences import DOLD, SIGN, RealizabilityVerdict, _mobius_sieve
-from .series import _map_residues, _map_values
-from .words import TableRangeError, Word, _check_int, _PrimeMaps
+from .words import (TableRangeError, Word, _check_int, _map_residues, _map_values,
+                    _PrimeMaps, _tables)
 
 __all__ = [
     "BOUNDED",
@@ -227,20 +224,6 @@ def apply_spec(spec: ExponentSpec, n: int) -> int:
     return out * rest
 
 
-def _tables(f: Callable[[int], int], max_n: int) -> dict[int, list[int]] | None:
-    """The tables of a table map f (words._PrimeMaps) cut to 1..max_n, when
-    every table covers the exponents v with p**v <= max_n (no unbounded
-    spec table ends short) and is non-decreasing; else None, and the
-    consumer reads f's values."""
-    if not isinstance(f, _PrimeMaps):
-        return None
-    tables = f.cut(max_n)
-    for p, table in tables.items():
-        if p ** len(table) <= max_n or any(a > b for a, b in zip(table, table[1:])):
-            return None
-    return tables
-
-
 def spec_from_word(word: Word, max_prime: int, max_level: int) -> ExponentSpec:
     """Tabulate the exponent functions of a word: the table for p records
     the valuation of the image of p**v, which the word's generators of prime
@@ -311,12 +294,9 @@ def preimage_structure(f: Callable[[int], int], k: int, max_n: int) -> PreimageS
     violation at step when step does not divide k, and the progression of
     step otherwise.
 
-    Any other map is read through f(n) mod k alone, by
-    series._map_residues: the CLI's power maps compute it with pow(n, e, k)
-    and never build their values; any other map's values are taken once
-    and validated (see series._map_values), so a plain callable's value
-    that is not an integer >= 1 raises ValueError as in membership_test
-    and check_divisibility_properties.
+    Any other map is read through f(n) mod k alone (_map_residues), so a
+    plain callable's value that is not an integer >= 1 raises ValueError
+    as in membership_test and check_divisibility_properties.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -413,13 +393,11 @@ def membership_test(f: Callable[[int], int], max_k: int, max_n: int) -> Membersh
     tables as its certificate. Tables of any other shape prove nothing
     either way, and the probes run.
 
-    The probes read only f(n) mod M, where M is the lcm of the probed
-    lengths, so the power maps of the CLI give residues without building
-    their values, and any other map's values are taken once (see
-    series._map_values) and reduced for each M. The probes of one block of
-    up to 32 consecutive lengths share one Moebius transform (see
-    _probe_block). Blocks run in order of k, each with its own M, and stop
-    at the first that fails, so a huge max_k builds no lcm(1..max_k).
+    The probes read only f(n) mod M (_map_residues), where M is the lcm of
+    the probed lengths. The probes of one block of up to 32 consecutive
+    lengths share one Moebius transform (see _probe_block). Blocks run in
+    order of k, each with its own M, and stop at the first that fails, so
+    a huge max_k builds no lcm(1..max_k).
     """
     if max_k < 1 or max_n < 1:
         raise ValueError("max_k and max_n must be >= 1")
@@ -523,8 +501,8 @@ def check_divisibility_properties(f: Callable[[int], int], max_n: int) -> Divisi
       prime_support: a prime q not dividing n has v_q(f(n)) = phi_q(0) =
                      v_q(f(1)).
 
-    For any other map the values f(1..max_n) are taken once (see
-    series._map_values), and each law is tested along prime steps, in
+    For any other map the values f(1..max_n) are taken once
+    (_map_values), and each law is tested along prime steps, in
     O(max_n log log max_n) tests in all:
 
       divides:       f(m) | f(mq) for every prime q. A chain of prime steps

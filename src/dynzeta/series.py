@@ -28,7 +28,7 @@ from operator import mul
 from typing import Callable, Iterator, Sequence
 
 from .sequences import RealizabilityVerdict, check_realizable
-from .words import _PrimeMaps
+from .words import _map_values
 
 __all__ = [
     "Series",
@@ -281,76 +281,12 @@ def series_pow(f: Series, r) -> Series:
     return exp_series(Series(tuple(r * c for c in logs.coeffs)))
 
 
-class _RangeMap:
-    """A residue map: a map on n >= 1 whose residues(max_n, modulus) lists
-    f(1..max_n) mod modulus without building its values, beside its point
-    rule point(n) (calling the map maps one n). The CLI's power maps
-    `pow:B` and `nn` are the residue maps; consumers that read only f(n)
-    mod M (the membership probes, the preimage structure) ask for residues
-    (_map_residues), and every other consumer takes its values by point
-    (_map_values). The table maps are words._PrimeMaps."""
-
-    __slots__ = ("point", "residues")
-
-    def __init__(self, point: Callable[[int], int],
-                 residues: Callable[[int, int], list[int]]):
-        self.point = point
-        self.residues = residues
-
-    def __call__(self, n: int) -> int:
-        return self.point(n)
-
-
-_INVALID_VALUE = "map produced {m!r} at n={n}; expected an integer >= 1"
-
-
-def _map_values(f: Callable[[int], int], max_n: int,
-                invalid: str = _INVALID_VALUE) -> Iterator[int]:
-    """f(1), ..., f(max_n) in order, each taken once.
-
-    A table map (words._PrimeMaps) gives them in one pass of its kernel,
-    up to the first point a table without a tail misses, where its point
-    rule raises, and a residue map (_RangeMap) by its point rule. A plain
-    callable is called per n, and each value must be an int >= 1 and not a
-    bool, else ValueError(invalid.format(n=n, m=m)) at the first bad n.
-    Either way nothing after the first failing n is produced, so a
-    consumer sees values and errors in the order of n.
-    """
-    if isinstance(f, _PrimeMaps):
-        values = f.values(max_n)
-        yield from values
-        yield from map(f, range(len(values) + 1, max_n + 1))
-        return
-    if isinstance(f, _RangeMap):
-        yield from map(f.point, range(1, max_n + 1))
-        return
-    for n in range(1, max_n + 1):
-        m = f(n)
-        if type(m) is not int and (type(m) is bool or not isinstance(m, int)) or m < 1:
-            raise ValueError(invalid.format(n=n, m=m))
-        yield m
-
-
-def _map_residues(f: Callable[[int], int], max_n: int) -> Callable[[int], list[int]]:
-    """modulus -> [f(1) % modulus, ..., f(max_n) % modulus].
-
-    A residue map (_RangeMap) answers each modulus without building its
-    values. Any other map's values are taken once, here, through
-    _map_values (validated there, so errors surface in the order of n), and
-    reduced for each modulus.
-    """
-    if isinstance(f, _RangeMap):
-        return lambda modulus: f.residues(max_n, modulus)
-    values = list(_map_values(f, max_n))
-    return lambda modulus: [m % modulus for m in values]
-
-
 def time_change_fix(h: Callable[[int], int], source: FixSource, length: int) -> list[int]:
     """Prefix of the time-changed counts: entry n is a_{h(n)}.
 
-    The values of h are taken once, through its tables when it is a table
-    map (see _map_values). Counts are read in the order of n, so a failing
-    source lookup is reported before a map error at a larger n.
+    The values of h are taken once (_map_values; dynzeta.words tells how
+    each kind of map is read). Counts are read in the order of n, so a
+    failing source lookup is reported before a map error at a larger n.
     """
     if length < 1:
         raise ValueError("length must be >= 1")

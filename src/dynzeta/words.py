@@ -20,11 +20,30 @@ then caps. It depends on the map alone, so the normal form it gives is
 canonical, and compile_spec builds its words with it from a spec's tables.
 
 _PrimeMaps is the per-prime value that words and exponent specs share, and
-a word's map is that value itself (Word.as_map): its docstring tells which
-maps are table maps and how their consumers read them. equal_upto decides
+a word's map is that value itself (Word.as_map). equal_upto decides
 equality on a prefix 1..N and returns a disagreement as the smallest
 witness (first_difference); two words are equal at every n exactly when
 their normal forms are identical.
+
+Which kind a map on n >= 1 is, and how it is read, is said here alone:
+
+    table map       a _PrimeMaps: a word's (generators' too), a spec's
+                    (ExponentSpec._maps), the CLI's `identity`, and its
+                    `mul:C` when C is split
+    residue map     a _ResidueMap, which lists f(1..N) mod M without its
+                    values: the CLI's `pow:B` and `nn`
+    plain callable  any other f, such as the CLI's `succ` and an unsplit
+                    `mul:C`
+
+Its consumers (time_change_fix, and the membership probes, preimage
+structure and divisibility laws of dynzeta.exponents) go through three
+readers. _tables gives a table map's tables cut to 1..N when each covers
+its prime's exponents there and is non-decreasing, and the consumers then
+answer from them alone, at N = 10**12 as fast as at N = 10. Otherwise
+_map_values gives f(1..N), each taken once: a table map's in one pass
+(_PrimeMaps.values), a residue map's by its point rule, a plain
+callable's validated; and _map_residues gives f(1..N) mod M, a residue
+map's without its values.
 
 Every generator built is checked, and a word holds generators alone: the
 internal paths build theirs through _generator, which checks each
@@ -186,19 +205,8 @@ class _PrimeMaps(NamedTuple):
     v_p(n) == v; a prime without a table keeps its exponents. Past the
     table each exponent adds tail to the entry before: 1 (a word without a
     cap, `mul:C`), 0 (a cap, a bounded spec) or None, no entry (an
-    unbounded spec). Calling the map maps one n, its one point rule.
-
-    The table maps are this value: a word's map (Word.as_map, folded by
-    _fold), generator maps included; a spec's (exponents.ExponentSpec._maps);
-    and the CLI's `identity` and `mul:C` when C is split (cli._mul_tables).
-    Their consumers read the tables, never one n at a time:
-    series._map_values takes the values on 1..N in one pass (values), up to
-    the first point a table without a tail misses, where the point rule
-    raises TableRangeError; and the membership probes, the preimage
-    structure and the divisibility laws answer from the tables cut to 1..N
-    alone (exponents._tables) when each covers its prime's exponents there
-    and is non-decreasing, at N = 10**12 as fast as at N = 10. Every other
-    map is read through its values, or its residues (series._RangeMap).
+    unbounded spec). Calling the map maps one n, its one point rule; the
+    map readers (_tables, _map_values) take the tables, never one n at a time.
     """
 
     tables: dict[int, tuple[list[int], int | None]]
@@ -342,6 +350,79 @@ def _fold(gens: Iterable[tuple[str, int, int]],
             hi = bisect_right(table, t, lo)
             table[lo:hi] = [t + 1] * (hi - lo)
     return _PrimeMaps({p: (table, 0 if p in capped else 1) for p, table in tables.items()})
+
+
+class _ResidueMap:
+    """A residue map: residues(max_n, modulus) lists f(1..max_n) mod
+    modulus without building its values, beside its point rule point(n)
+    (calling the map maps one n)."""
+
+    __slots__ = ("point", "residues")
+
+    def __init__(self, point: Callable[[int], int],
+                 residues: Callable[[int, int], list[int]]):
+        self.point = point
+        self.residues = residues
+
+    def __call__(self, n: int) -> int:
+        return self.point(n)
+
+
+_INVALID_VALUE = "map produced {m!r} at n={n}; expected an integer >= 1"
+
+
+def _map_values(f: Callable[[int], int], max_n: int,
+                invalid: str = _INVALID_VALUE) -> Iterator[int]:
+    """f(1), ..., f(max_n) in order, each taken once.
+
+    A table map gives them in one pass of its kernel, up to the first point
+    a table without a tail misses, where its point rule raises, and a
+    residue map by its point rule. A plain callable is called per n, and
+    each value must be an int >= 1 and not a bool, else
+    ValueError(invalid.format(n=n, m=m)) at the first bad n. Either way
+    nothing after the first failing n is produced, so a consumer sees
+    values and errors in the order of n.
+    """
+    if isinstance(f, _PrimeMaps):
+        values = f.values(max_n)
+        yield from values
+        yield from map(f, range(len(values) + 1, max_n + 1))
+        return
+    if isinstance(f, _ResidueMap):
+        yield from map(f.point, range(1, max_n + 1))
+        return
+    for n in range(1, max_n + 1):
+        m = f(n)
+        if type(m) is not int and (type(m) is bool or not isinstance(m, int)) or m < 1:
+            raise ValueError(invalid.format(n=n, m=m))
+        yield m
+
+
+def _map_residues(f: Callable[[int], int], max_n: int) -> Callable[[int], list[int]]:
+    """modulus -> [f(1) % modulus, ..., f(max_n) % modulus].
+
+    A residue map answers each modulus without building its values. Any
+    other map's values are taken once, here, through _map_values (validated
+    there, so errors surface in the order of n), and reduced for each
+    modulus.
+    """
+    if isinstance(f, _ResidueMap):
+        return lambda modulus: f.residues(max_n, modulus)
+    values = list(_map_values(f, max_n))
+    return lambda modulus: [m % modulus for m in values]
+
+
+def _tables(f: Callable[[int], int], max_n: int) -> dict[int, list[int]] | None:
+    """The tables of a table map f cut to 1..max_n, when every table covers
+    the exponents v with p**v <= max_n (no unbounded spec table ends short)
+    and is non-decreasing; else None, and the consumer reads f's values."""
+    if not isinstance(f, _PrimeMaps):
+        return None
+    tables = f.cut(max_n)
+    for p, table in tables.items():
+        if p ** len(table) <= max_n or any(a > b for a, b in zip(table, table[1:])):
+            return None
+    return tables
 
 
 def eval_range(word: Word, max_n: int) -> list[int]:

@@ -1,0 +1,34 @@
+"""The package's layering, read off its own source with ast."""
+
+import ast
+import re
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dynzeta"
+
+
+def _imports(path: Path) -> set[str]:
+    """The dynzeta modules the module at path imports, relatively or not."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["dynzeta" if node.level else "", node.module]))
+            names += [f"{module}.{alias.name}" for alias in node.names]
+    return {name.split(".")[1] for name in names if name.startswith("dynzeta.")}
+
+
+def test_each_module_imports_only_the_modules_listed_before_it():
+    """Each module imports only modules listed before it in the bottom-up
+    list of the package docstring, and series and exponents, which both sit
+    on words, import nothing from each other."""
+    doc = ast.get_docstring(ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")))
+    order = re.findall(r"^    (\w+)  ", doc.split("bottom up", 1)[1], flags=re.M)
+    modules = {path.stem: path for path in PACKAGE.glob("*.py") if path.stem != "__init__"}
+    assert sorted(order) == sorted(modules)
+    for i, name in enumerate(order):
+        above = set(order[:i])
+        assert _imports(modules[name]) <= above, (name, _imports(modules[name]) - above)
+    assert "exponents" not in _imports(modules["series"])
+    assert "series" not in _imports(modules["exponents"])

@@ -34,14 +34,16 @@ from dynzeta.exponents import (
     preimage_structure,
 )
 from dynzeta.sequences import RealizabilityVerdict
-from dynzeta.series import (
-    FixSource,
-    SourceRangeError,
+from dynzeta.series import FixSource, SourceRangeError, time_change_fix
+from dynzeta.words import (
+    Generator,
+    Word,
     _map_residues,
     _map_values,
-    time_change_fix,
+    _PrimeMaps,
+    eval_word,
+    random_word,
 )
-from dynzeta.words import Generator, Word, _PrimeMaps, eval_word, random_word
 
 from oracles import (
     MAP_VALUE,
