@@ -298,6 +298,8 @@ def preimage_structure(f: Callable[[int], int], k: int, max_n: int) -> PreimageS
     plain callable's value that is not an integer >= 1 raises ValueError
     as in membership_test and check_divisibility_properties.
     """
+    _check_int(k, "k")
+    _check_int(max_n, "max_n")
     if k < 1:
         raise ValueError("k must be >= 1")
     if max_n < k:
@@ -373,6 +375,7 @@ class MembershipReport:
 
 
 _LANES = 32  # orbit lengths probed by one packed transform
+_PREFIX = 64  # the probes run on 1..min(N, _PREFIX) first
 
 
 def membership_test(f: Callable[[int], int], max_k: int, max_n: int) -> MembershipReport:
@@ -393,12 +396,30 @@ def membership_test(f: Callable[[int], int], max_k: int, max_n: int) -> Membersh
     tables as its certificate. Tables of any other shape prove nothing
     either way, and the probes run.
 
-    The probes read only f(n) mod M (_map_residues), where M is the lcm of
-    the probed lengths. The probes of one block of up to 32 consecutive
-    lengths share one Moebius transform (see _probe_block). Blocks run in
-    order of k, each with its own M, and stop at the first that fails, so
-    a huge max_k builds no lcm(1..max_k).
+    The probes read only f(n) mod M (dynzeta.words tells how each kind of
+    map gives it), where M is the lcm of the probed lengths; a plain
+    callable's or a table map's values are all taken on 1..max_n first, so
+    a bad value or a table that ends short raises wherever it lies. The
+    probe of k = 1 counts 1 at every n, and its transform is [1, 0, 0, ...],
+    so it passes on every map and never runs.
+
+    The probes run on the prefix 1..min(max_n, 64) first. The check at n
+    reads a probe's transform at n, which reads the probe on the divisors
+    of n alone, so a probe that fails at n0 on the prefix fails at n0, with
+    the same verdict, on 1..max_n. Only a smaller length, failing beyond
+    the prefix, can take the witness from the prefix's smallest failing
+    length k0: the lengths 2..k0 - 1 (all lengths when none fails) are
+    probed again on 1..max_n, and the smallest that fails there is the
+    witness, else k0. Refuted maps mostly fail at small n, and then the
+    lengths from k0 on never see the residues beyond the prefix.
+
+    Within a range, the probes of one block of up to 32 consecutive lengths
+    share one Moebius transform (see _probe_block). Blocks run in order of
+    k, each with its own M, and stop at the first that fails, so a huge
+    max_k builds no lcm(1..max_k).
     """
+    _check_int(max_k, "max_k")
+    _check_int(max_n, "max_n")
     if max_k < 1 or max_n < 1:
         raise ValueError("max_k and max_n must be >= 1")
     tables = _tables(f, max_n)
@@ -406,14 +427,28 @@ def membership_test(f: Callable[[int], int], max_k: int, max_n: int) -> Membersh
         certificate = {p: ExponentFunction.unbounded(table) for p, table in tables.items()}
         return MembershipReport(max_k, max_n, certificate=ExponentSpec(certificate))
     residues = _map_residues(f, max_n)
-    width = max_n.bit_length() + 2
+    prefix = min(max_n, _PREFIX)
+    witness = _first_witness(residues, max_k, prefix)
+    if prefix < max_n:
+        last = max_k if witness is None else witness.k - 1
+        witness = _first_witness(residues, last, max_n) or witness
+    return MembershipReport(max_k, max_n, witness)
+
+
+def _first_witness(residues: Callable[..., list[int]], max_k: int,
+                   n: int) -> MembershipWitness | None:
+    """The first failing probe among the lengths 2..max_k on 1..n, or None,
+    probed in blocks of the lengths 32j + 1..32j + 32."""
+    width = n.bit_length() + 2
     for start in range(1, max_k + 1, _LANES):
-        ks = range(start, min(start + _LANES, max_k + 1))
+        ks = range(max(start, 2), min(start + _LANES, max_k + 1))
+        if not ks:  # max_k = 1
+            return None
         modulus = lcm(*ks)
-        witness = _probe_block(ks, modulus, residues(modulus), width)
+        witness = _probe_block(ks, modulus, residues(modulus, n), width)
         if witness is not None:
-            return MembershipReport(max_k, max_n, witness)
-    return MembershipReport(max_k, max_n)
+            return witness
+    return None
 
 
 def _settles(table: list[int]) -> bool:
@@ -521,6 +556,7 @@ def check_divisibility_properties(f: Callable[[int], int], max_n: int) -> Divisi
                      value that fails is factorized, to name its smallest
                      offending prime.
     """
+    _check_int(max_n, "max_n")
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     if _tables(f, max_n) is not None:

@@ -28,7 +28,7 @@ from operator import mul
 from typing import Callable, Iterator, Sequence
 
 from .sequences import RealizabilityVerdict, check_realizable
-from .words import _map_values
+from .words import _check_int, _map_values
 
 __all__ = [
     "Series",
@@ -288,6 +288,7 @@ def time_change_fix(h: Callable[[int], int], source: FixSource, length: int) -> 
     each kind of map is read). Counts are read in the order of n, so a
     failing source lookup is reported before a map error at a larger n.
     """
+    _check_int(length, "length")
     if length < 1:
         raise ValueError("length must be >= 1")
     invalid = "time-change value h({n}) = {m!r}; expected an integer >= 1"

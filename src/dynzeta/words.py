@@ -42,8 +42,8 @@ its prime's exponents there and is non-decreasing, and the consumers then
 answer from them alone, at N = 10**12 as fast as at N = 10. Otherwise
 _map_values gives f(1..N), each taken once: a table map's in one pass
 (_PrimeMaps.values), a residue map's by its point rule, a plain
-callable's validated; and _map_residues gives f(1..N) mod M, a residue
-map's without its values.
+callable's validated; and _map_residues gives f(1..n) mod M for any
+n <= N, a residue map's without its values.
 
 Every generator built is checked, and a word holds generators alone: the
 internal paths build theirs through _generator, which checks each
@@ -61,7 +61,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .arith import _split, is_prime, primes_up_to
@@ -398,18 +398,18 @@ def _map_values(f: Callable[[int], int], max_n: int,
         yield m
 
 
-def _map_residues(f: Callable[[int], int], max_n: int) -> Callable[[int], list[int]]:
-    """modulus -> [f(1) % modulus, ..., f(max_n) % modulus].
+def _map_residues(f: Callable[[int], int], max_n: int) -> Callable[..., list[int]]:
+    """(modulus, n=max_n) -> [f(1) % modulus, ..., f(n) % modulus], n <= max_n.
 
-    A residue map answers each modulus without building its values. Any
-    other map's values are taken once, here, through _map_values (validated
-    there, so errors surface in the order of n), and reduced for each
-    modulus.
+    A residue map answers each modulus and n without building its values.
+    Any other map's values on 1..max_n are taken once, here, through
+    _map_values (validated there, so errors surface in the order of n, and
+    before any residue is asked for), and reduced for each modulus.
     """
     if isinstance(f, _ResidueMap):
-        return lambda modulus: f.residues(max_n, modulus)
+        return lambda modulus, n=max_n: f.residues(n, modulus)
     values = list(_map_values(f, max_n))
-    return lambda modulus: [m % modulus for m in values]
+    return lambda modulus, n=max_n: [m % modulus for m in islice(values, n)]
 
 
 def _tables(f: Callable[[int], int], max_n: int) -> dict[int, list[int]] | None:

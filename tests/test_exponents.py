@@ -21,6 +21,7 @@ from dynzeta.exponents import (
     validate_spec,
 )
 from dynzeta.sequences import DOLD, SIGN, RealizabilityVerdict
+from dynzeta.series import FixSource, time_change_fix
 from dynzeta.arith import divisors, valuation
 from dynzeta.words import Generator, Word, eval_generator, eval_range, eval_word, random_word
 
@@ -110,6 +111,10 @@ class TestValidation:
         assert str(err.value) == "prime must be an integer, got 2.0"
 
 
+def unread(n):
+    raise AssertionError("the map was read")
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -127,6 +132,21 @@ class TestValidation:
         (lambda: ExponentSpec({2: (1, 2)}), "prime 2: (1, 2) is not an ExponentFunction"),
         (lambda: ExponentSpec({3: ExponentFunction.bounded([1]), 2: [0, 1]}),
          "prime 2: [0, 1] is not an ExponentFunction"),
+        # a float k was reported as a violation with k = 2.5, True served as
+        # a bound of 1, and a float max_n raised TypeError; each is checked
+        # before the map is read
+        (lambda: preimage_structure(unread, 2.5, 10), "k must be an integer, got 2.5"),
+        (lambda: preimage_structure(unread, 2, 10.0), "max_n must be an integer, got 10.0"),
+        (lambda: membership_test(unread, True, 10), "max_k must be an integer, got True"),
+        (lambda: membership_test(unread, 5, 10.0), "max_n must be an integer, got 10.0"),
+        (lambda: check_divisibility_properties(unread, True),
+         "max_n must be an integer, got True"),
+        (lambda: check_divisibility_properties(unread, 10.0),
+         "max_n must be an integer, got 10.0"),
+        (lambda: time_change_fix(unread, FixSource.constant(1), 3.0),
+         "length must be an integer, got 3.0"),
+        (lambda: time_change_fix(unread, FixSource.constant(1), False),
+         "length must be an integer, got False"),
     ],
 )
 def test_argument_errors(call, message):

@@ -5,8 +5,8 @@ divisibility laws, time-changed counts) is checked against the per-n
 reference in oracles.py, on the same map as a range map and as a plain
 callable, including the errors and the order in which they surface. The
 power maps' residue paths are checked against their full values, and the
-packed membership probes against the per-probe loop, report for report and
-byte for byte on the CLI.
+packed membership probes, with their prefix pass, against the per-probe
+loop, report for report and byte for byte on the CLI.
 """
 
 import json
@@ -28,6 +28,7 @@ from dynzeta.exponents import (
     PreimageStructure,
     TableRangeError,
     _LANES,
+    _PREFIX,
     apply_spec,
     check_divisibility_properties,
     membership_test,
@@ -41,6 +42,7 @@ from dynzeta.words import (
     _map_residues,
     _map_values,
     _PrimeMaps,
+    _ResidueMap,
     eval_word,
     random_word,
 )
@@ -618,9 +620,9 @@ def every_kind_of_map(seed, max_n):
     return maps
 
 
-def bumped_at(n0, factor):
-    """The identity, except that n0 goes to factor * n0."""
-    return lambda n: factor * n if n == n0 else n
+def bumps(factors):
+    """The identity, except that each n0 in factors goes to factors[n0] * n0."""
+    return lambda n: factors.get(n, 1) * n
 
 
 class TestPackedProbes:
@@ -648,10 +650,10 @@ class TestPackedProbes:
     @pytest.mark.parametrize(
         "f, max_k, k",
         [
-            (bumped_at(16, 2), 40, 32),  # the last lane of the first block
-            (bumped_at(32, 2), 70, 64),  # the last lane of the second block
-            (bumped_at(2, 97), 100, 97),  # the first lane of the fourth block
-            (bumped_at(2, 37), 37, 37),  # the last lane of a partial block
+            (bumps({16: 2}), 40, 32),  # the last lane of the first block
+            (bumps({32: 2}), 70, 64),  # the last lane of the second block
+            (bumps({2: 97}), 100, 97),  # the first lane of the fourth block
+            (bumps({2: 37}), 37, 37),  # the last lane of a partial block
             (lambda n: n + 1, 50, 2),  # the first lane that can fail (k = 1 never does)
         ],
     )
@@ -692,6 +694,114 @@ class TestPackedProbes:
         expected = outcome(lambda: reference_report(f, max_k, 20))
         assert expected[0] == "raised"
         assert outcome(lambda: membership_test(f, max_k, 20)) == expected
+
+
+class TestPrefixPass:
+    """The probes run on 1..min(N, _PREFIX) first, and only the lengths
+    below the prefix's witness run again on 1..N; the report is the full
+    probe's."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(_PREFIX - 1, 3 * _PREFIX), st.integers(1, 40))
+    def test_range_maps_and_plain_callables_against_the_oracles(self, seed, max_n, max_k):
+        for name, f in random_range_maps(seed).items():
+            plain = lambda n, f=f: f(n)
+            report = membership_test(plain, max_k, max_n)
+            assert report == membership_test(f, max_k, max_n), name
+            assert report == reference_report(f, max_k, max_n), name
+            assert membership_tuple(report) == pointwise_membership(plain, max_k, max_n), name
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, _PREFIX), st.integers(2, 40),
+        st.integers(_PREFIX + 1, 3 * _PREFIX), st.integers(2, 12),
+        st.integers(_PREFIX - 1, 3 * _PREFIX), st.integers(1, 45),
+    )
+    def test_bumps_on_both_sides_of_the_prefix(self, n0, a, n1, b, max_n, max_k):
+        f = bumps({n0: a, n1: b})
+        report = membership_test(f, max_k, max_n)
+        assert report == reference_report(f, max_k, max_n)
+        assert membership_tuple(report) == pointwise_membership(f, max_k, max_n)
+
+    # k = 7 fails at n = 5 <= _PREFIX (f(5) = 35), and k = 3 only at n = 65
+    # (f(65) = 195); k = 2 never does
+    BOTH_SIDES = {5: 7, 65: 3}
+
+    @pytest.mark.parametrize(
+        "max_n, max_k, expected",
+        [
+            (_PREFIX - 1, 24, (7, "dold", 5, 7)),
+            (_PREFIX, 24, (7, "dold", 5, 7)),
+            (_PREFIX + 1, 24, (3, "dold", 65, 3)),  # a smaller k beyond the prefix
+            (_PREFIX + 1, 7, (3, "dold", 65, 3)),
+            (_PREFIX + 1, 6, (3, "dold", 65, 3)),  # max_k below the prefix witness
+            (_PREFIX + 1, 2, None),
+            (3 * _PREFIX, 70, (3, "dold", 65, 3)),
+        ],
+    )
+    def test_a_smaller_length_beyond_the_prefix_wins(self, max_n, max_k, expected):
+        assert _PREFIX == 64  # the points above are placed on either side of it
+        f = bumps(self.BOTH_SIDES)
+        report = membership_test(f, max_k, max_n)
+        assert membership_tuple(report) == expected == pointwise_membership(f, max_k, max_n)
+        assert report == reference_report(f, max_k, max_n)
+
+    @staticmethod
+    def recording(f):
+        """The residue map f, with each (n, modulus) it is asked for recorded."""
+        asked = []
+
+        def residues(n, modulus):
+            asked.append((n, modulus))
+            return f.residues(n, modulus)
+
+        return _ResidueMap(f.point, residues), asked
+
+    def test_the_full_range_is_read_only_below_the_prefix_witness(self):
+        nn, asked = self.recording(parse_map("nn", 1000))
+        assert membership_tuple(membership_test(nn, 24, 1000)) == (8, "dold", 6, 8)
+        assert asked == [(_PREFIX, lcm(*range(2, 25))), (1000, lcm(*range(2, 8)))]
+        succ, asked = self.recording(_ResidueMap(
+            lambda n: n + 1, lambda max_n, m: [(n + 1) % m for n in range(1, max_n + 1)]))
+        assert membership_tuple(membership_test(succ, 24, 1000)) == (2, "sign", 2, -2)
+        assert asked == [(_PREFIX, lcm(*range(2, 25)))]  # no length below k = 2
+
+    def test_a_map_passing_the_prefix_is_probed_on_the_full_range(self):
+        f, asked = self.recording(parse_map("pow:2", 1000))
+        assert membership_test(f, 40, 1000) == MembershipReport(40, 1000)
+        assert asked == [(_PREFIX, lcm(*range(2, 33))), (_PREFIX, lcm(*range(33, 41))),
+                         (1000, lcm(*range(2, 33))), (1000, lcm(*range(33, 41)))]
+
+    def test_length_one_is_never_probed(self):
+        f, asked = self.recording(parse_map("nn", 1000))
+        assert membership_test(f, 1, 1000) == MembershipReport(1, 1000)
+        assert asked == []
+
+    def test_a_bad_value_beyond_the_prefix_is_raised(self):
+        # the prefix alone refutes at k = 2 (as n -> n + 1 does), but every
+        # value on 1..max_n is taken first
+        f = lambda n: 0 if n == 3 * _PREFIX else n + 1
+        message = f"map produced 0 at n={3 * _PREFIX}; expected an integer >= 1"
+        assert membership_tuple(membership_test(f, 24, 3 * _PREFIX - 1)) == (2, "sign", 2, -2)
+        expected = outcome(lambda: pointwise_values(f, 3 * _PREFIX))
+        assert expected == ("raised", ValueError, message)
+        for max_k in (2, 24, 2 * _LANES + 1):
+            assert outcome(lambda: membership_test(f, max_k, 3 * _PREFIX)) == expected
+
+    def test_a_table_ending_short_beyond_the_prefix_is_raised(self):
+        # the table of 2 drops (f(1) = 2, f(2) = 1), which refutes at k = 2
+        # on the prefix, and it ends short at 2**7 = 128
+        spec = build_spec({2: ("unbounded", [1, 0, 2, 3, 4, 5, 6])})
+        pointwise = lambda n: apply_spec(spec, n)
+        assert membership_tuple(membership_test(spec._maps, 24, 127)) == (2, "sign", 2, -2)
+        assert membership_tuple(membership_test(spec._maps, 24, 127)) == pointwise_membership(
+            pointwise, 24, 127)
+        got = outcome(lambda: membership_test(spec._maps, 24, 200))
+        assert got == outcome(lambda: membership_test(pointwise, 24, 200))
+        assert got == outcome(lambda: pointwise_membership(pointwise, 24, 200))
+        assert got == (
+            "raised", TableRangeError, "table for prime 2 covers exponents 0..6, asked for 7"
+        )
 
 
 class TestResiduePaths:
