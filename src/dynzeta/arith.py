@@ -29,11 +29,19 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_13 = 3317044064679887385961981
 
 
+def _check_int(value, field: str) -> None:
+    """Reject anything but a plain int: int() would truncate 1.5 to 1 and
+    so silently describe a different map."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
 def is_prime(n: int) -> bool:
     """Primality of n >= 0: trial division, then strong probable-prime
     tests, both by the primes up to 41, which decide every n below psi_13
     = 3317044064679887385961981; from psi_13 on, also the strong Lucas
     test (Baillie-PSW)."""
+    _check_int(n, "n")
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -108,6 +116,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
     factorize(1) is the empty list.
     """
+    _check_int(n, "n")
     if n < 1:
         raise ValueError(f"cannot factorize {n}; expected a positive integer")
     pairs, m = _trial_division(n, n)
@@ -138,6 +147,8 @@ def _trial_division(n: int, bound: int) -> tuple[list[tuple[int, int]], int]:
 
 def valuation(p: int, n: int) -> int:
     """Largest e such that p**e divides n, for prime p and n >= 1."""
+    _check_int(p, "p")
+    _check_int(n, "n")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if n < 1:
@@ -167,6 +178,7 @@ def moebius(n: int) -> int:
 
 def divisors(n: int) -> list[int]:
     """All divisors of n >= 1 in ascending order, including 1 and n."""
+    _check_int(n, "n")
     if n < 1:
         raise ValueError(f"divisors undefined for {n}; expected n >= 1")
     divs = [1]
@@ -177,6 +189,7 @@ def divisors(n: int) -> list[int]:
 
 def primes_up_to(bound: int) -> list[int]:
     """All primes <= bound, ascending (empty for bound < 2)."""
+    _check_int(bound, "bound")
     if bound < 2:
         return []
     sieve = bytearray([1]) * (bound + 1)

@@ -25,7 +25,6 @@ from functools import cache
 from typing import Callable
 
 from . import jsonio
-from .arith import _trial_division, is_prime
 from .compiler import compile_spec
 from .exponents import (
     check_divisibility_properties,
@@ -35,7 +34,7 @@ from .exponents import (
 )
 from .sequences import check_realizable
 from .series import FixSource, is_zeta, time_change_fix, zeta_from_fix
-from .words import Generator, Word, _coincidences, _PrimeMaps, _ResidueMap, eval_word, normal_form
+from .words import Generator, Word, _coincidences, _mul_map, _power_map, eval_word, normal_form
 
 __all__ = ["main"]
 
@@ -70,33 +69,22 @@ def _load_json(path: str):
 
 def parse_map(text: str, max_n: int) -> Callable[[int], int]:
     """Resolve a map name to a callable on the positive integers, for a
-    request that reads it on 1..max_n.
-
-    `gen:`, `word:`, `spec:`, `identity` and `mul:C` with C split are table
-    maps, `pow:B` and `nn` residue maps, and `succ` and an unsplit `mul:C`
-    plain callables; dynzeta.words tells how each kind is read. The tables
-    of n -> C * n are [v_p(C)] with tail 1 at each prime p of C, found
-    once, here (_mul_tables), exact at every N.
+    request that reads it on 1..max_n: `identity` and `mul:C` (n -> C * n),
+    `pow:B` (n -> n**B), `nn` (n -> n**n), `succ` (n -> n + 1),
+    `gen:KIND:P:T` (one generator), `word:FILE` and `spec:FILE`.
+    dynzeta.words builds them and tells how each kind is read.
 
     As dividing C takes time linear in max_n, the commands that parse a map
     first make the library's checks on their numbers, with its messages.
     """
     name, _, rest = text.partition(":")
     if name in ("identity", "mul"):
-        c = 1 if name == "identity" else _positive_int(rest, "mul factor")
-        maps = _mul_tables(c, max_n)
-        return (lambda n: c * n) if maps is None else maps
+        return _mul_map(1 if name == "identity" else _positive_int(rest, "mul factor"), max_n)
     if name == "pow":
         b = _non_negative_int(rest, "pow exponent")
-        return _ResidueMap(
-            lambda n: n**b,
-            lambda max_n, modulus: [pow(n, b, modulus) for n in range(1, max_n + 1)],
-        )
+        return _power_map(lambda n: b)
     if name == "nn":
-        return _ResidueMap(
-            lambda n: n**n,
-            lambda max_n, modulus: [pow(n, n, modulus) for n in range(1, max_n + 1)],
-        )
+        return _power_map(lambda n: n)
     if name == "succ":
         return lambda n: n + 1
     if name in ("gen", "generator"):
@@ -110,24 +98,6 @@ def parse_map(text: str, max_n: int) -> Callable[[int], int]:
     if name == "spec":
         return jsonio.spec_from_json(_load_json(rest))._maps
     raise UsageError(f"unknown map {text!r}")
-
-
-def _mul_tables(c: int, max_n: int) -> _PrimeMaps | None:
-    """n -> c * n as per-prime tables: v -> v + v_p(c), the table [v_p(c)]
-    with tail 1, for each prime p of c.
-
-    c is divided by the primes <= max_n alone, never up to sqrt(c), and
-    division stops once the cofactor r is prime, which is then keyed
-    whatever its size. So the tables, when there are any, are c's full
-    factorization and exact at every N. A composite r > 1 has every prime
-    above max_n and cannot be split that way: None.
-    """
-    pairs, r = _trial_division(c, max_n)
-    if r > 1:
-        if not is_prime(r):
-            return None
-        pairs.append((r, 1))
-    return _PrimeMaps({p: ([e], 1) for p, e in pairs})
 
 
 def parse_source(text: str) -> FixSource:

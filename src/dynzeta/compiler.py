@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import is_prime
+from .arith import _check_int, is_prime
 from .exponents import BOUNDED, ExponentSpec, SpecViolation, apply_spec, validate_spec
 from .words import Generator, Word, eval_word
 
@@ -61,6 +61,7 @@ class CompileResult:
     def admits(self, n: int) -> bool:
         """Whether n lies in the agreement set: no agreement prime p has
         p**(bound + 1) dividing n."""
+        _check_int(n, "n")
         if n < 1:
             raise ValueError(f"the agreement set holds integers n >= 1, got {n}")
         return all(bound >= 0 and n % p ** (bound + 1) for p, bound in self.agreement.items())
@@ -68,6 +69,9 @@ class CompileResult:
 
 def block_gadget(prime: int, level: int, target: int) -> Word:
     """The bump run raising valuation `level` to `target` (empty if equal)."""
+    _check_int(prime, "prime")
+    _check_int(level, "level")
+    _check_int(target, "target")
     if target < level:
         raise ValueError(f"target exponent {target} is below level {level}")
     return Word(tuple(Generator.bump(prime, t) for t in range(level, target)))
@@ -106,6 +110,7 @@ def verify_compile(result: CompileResult, spec: ExponentSpec, max_n: int) -> Mis
     Whichever comes first is evaluated pointwise: it raises, or gives the
     mismatch.
     """
+    _check_int(max_n, "max_n")
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     for p in result.agreement:

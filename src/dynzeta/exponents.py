@@ -30,9 +30,9 @@ phi_p non-decreasing (the identity off the tables), and
     divisibility laws: all three hold (check_divisibility_properties);
     preimage of the multiples of k: the multiples of one step read off
         the tables, or empty (preimage_structure);
-    membership probes: when each table is moreover constant from its first
-        entry below its index on, f agrees on 1..N with a word, so no probe
-        fails, for any orbit length (membership_test).
+    membership probes: when validate_spec accepts the tables read as
+        bounded, compile_spec turns them into a word that agrees with f on
+        1..N, so no probe fails, for any orbit length (membership_test).
 
 The tables never refute. Any other map is read through its values on 1..N,
 so its errors, witnesses and counterexamples come from them; the
@@ -56,10 +56,9 @@ from dataclasses import dataclass, field
 from math import gcd, lcm
 from typing import Callable, Mapping
 
-from .arith import _split, factorize, is_prime, primes_up_to
+from .arith import _check_int, _split, factorize, is_prime, primes_up_to
 from .sequences import DOLD, SIGN, RealizabilityVerdict, _mobius_sieve
-from .words import (TableRangeError, Word, _check_int, _map_residues, _map_values,
-                    _PrimeMaps, _tables)
+from .words import TableRangeError, Word, _map_residues, _map_values, _PrimeMaps, _tables
 
 __all__ = [
     "BOUNDED",
@@ -214,6 +213,7 @@ def apply_spec(spec: ExponentSpec, n: int) -> int:
     """Evaluate the map a spec describes: push each prime exponent of n
     through its exponent function and recompose. Unmapped primes pass
     through untouched; unbounded tables raise beyond their range."""
+    _check_int(n, "n")
     if n < 1:
         raise ValueError(f"the map acts on n >= 1, got {n}")
     rest = n
@@ -238,6 +238,8 @@ def spec_from_word(word: Word, max_prime: int, max_level: int) -> ExponentSpec:
     compile_spec turns the spec into a word equal to the input at every n
     its agreement set admits.
     """
+    _check_int(max_prime, "max_prime")
+    _check_int(max_level, "max_level")
     if max_level < 0:
         raise ValueError("max_level must be >= 0")
     stray = [p for p in word.primes() if p > max_prime]
@@ -350,10 +352,10 @@ class MembershipReport:
     certificate it means more: no orbit length of any size fails on
     1..max_n. The certificate is f's exponent spec on 1..max_n, in the
     unbounded shape, as its tables are cut to 1..max_n and say nothing of
-    their tails: read as bounded, each function is valid, and compile_spec
-    turns it into a word that agrees with f on 1..max_n. It backs the
-    verdict and is not part of it, so two reports with the same verdict
-    compare equal.
+    their tails: read as bounded, validate_spec accepts it, and
+    compile_spec turns it into a word that agrees with f on 1..max_n. It
+    backs the verdict and is not part of it, so two reports with the same
+    verdict compare equal.
     """
 
     max_k: int
@@ -385,16 +387,12 @@ def membership_test(f: Callable[[int], int], max_k: int, max_n: int) -> Membersh
     k | f(n); the smallest k whose probe fails realizability is returned,
     with the verdict check_realizable gives that probe.
 
-    A map whose tables serve (see _tables) and are each constant from their
-    first entry below their index on needs no probe. Read as a bounded
-    function, such a table is valid. It is non-decreasing, and a bounded
-    function owes d(i) >= i only up to its eventual value c. That holds
-    before the first entry below its index, and that entry is c itself, at
-    an index above c. So compile_spec makes a word equal to f on 1..max_n.
-    A word preserves realizability, and a probe reads f on 1..max_n alone,
-    so every probe of every orbit length passes: the report carries the
-    tables as its certificate. Tables of any other shape prove nothing
-    either way, and the probes run.
+    A map whose tables serve (see _tables) needs no probe when
+    validate_spec accepts them read as bounded: compile_spec then makes a
+    word equal to f on 1..max_n. A word preserves realizability, and a
+    probe reads f on 1..max_n alone, so every probe of every orbit length
+    passes, and the report carries the tables as its certificate. Tables
+    that validate_spec rejects prove nothing either way, and the probes run.
 
     The probes read only f(n) mod M (dynzeta.words tells how each kind of
     map gives it), where M is the lcm of the probed lengths; a plain
@@ -423,9 +421,11 @@ def membership_test(f: Callable[[int], int], max_k: int, max_n: int) -> Membersh
     if max_k < 1 or max_n < 1:
         raise ValueError("max_k and max_n must be >= 1")
     tables = _tables(f, max_n)
-    if tables is not None and all(map(_settles, tables.values())):
-        certificate = {p: ExponentFunction.unbounded(table) for p, table in tables.items()}
-        return MembershipReport(max_k, max_n, certificate=ExponentSpec(certificate))
+    if tables is not None:
+        bounded = {p: ExponentFunction.bounded(table) for p, table in tables.items()}
+        if not validate_spec(ExponentSpec(bounded)):
+            certificate = {p: ExponentFunction.unbounded(table) for p, table in tables.items()}
+            return MembershipReport(max_k, max_n, certificate=ExponentSpec(certificate))
     residues = _map_residues(f, max_n)
     prefix = min(max_n, _PREFIX)
     witness = _first_witness(residues, max_k, prefix)
@@ -449,13 +449,6 @@ def _first_witness(residues: Callable[..., list[int]], max_k: int,
         if witness is not None:
             return witness
     return None
-
-
-def _settles(table: list[int]) -> bool:
-    """Whether a non-decreasing table is constant from its first entry below
-    its index on."""
-    low = next((v for v, d in enumerate(table) if d < v), None)
-    return low is None or table[-1] == table[low]
 
 
 def _probe_block(ks: range, modulus: int, residues: list[int],

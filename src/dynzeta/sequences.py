@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .arith import primes_up_to
+from .arith import _check_int, primes_up_to
 
 __all__ = [
     "SIGN",
@@ -153,6 +153,8 @@ def reg(k: int, length: int) -> list[int]:
 
     Entry n is k when k divides n and 0 otherwise.
     """
+    _check_int(k, "orbit length")
+    _check_int(length, "prefix length")
     if k < 1:
         raise ValueError(f"orbit length must be >= 1, got {k}")
     if length < 1:

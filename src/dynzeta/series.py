@@ -27,8 +27,9 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, Iterator, Sequence
 
+from .arith import _check_int
 from .sequences import RealizabilityVerdict, check_realizable
-from .words import _check_int, _map_values
+from .words import _map_values
 
 __all__ = [
     "Series",
@@ -78,6 +79,7 @@ class Series:
         """Build a series from leading coefficients, zero-padded to order."""
         coeffs = list(values)
         if order is not None:
+            _check_int(order, "order")
             coeffs = coeffs[: order + 1] + [0] * (order + 1 - len(coeffs))
         return cls(tuple(coeffs))
 
@@ -222,6 +224,7 @@ def _log_counts(f: Series) -> Iterator:
 
 def zeta_from_fix(source: FixSource, order: int) -> Series:
     """Zeta series exp(sum a_n z^n / n) truncated at the given order."""
+    _check_int(order, "order")
     if order < 0:
         raise ValueError("order must be >= 0")
     return _exp_counts(source.prefix(order))

@@ -25,15 +25,16 @@ equality on a prefix 1..N and returns a disagreement as the smallest
 witness (first_difference); two words are equal at every n exactly when
 their normal forms are identical.
 
-Which kind a map on n >= 1 is, and how it is read, is said here alone:
+Which kind a map on n >= 1 is, and how it is read, is said here alone,
+and the CLI's named maps are built here too:
 
     table map       a _PrimeMaps: a word's (generators' too), a spec's
-                    (ExponentSpec._maps), the CLI's `identity`, and its
-                    `mul:C` when C is split
+                    (ExponentSpec._maps), and the CLI's `identity` and
+                    `mul:C` when C is split (_mul_map)
     residue map     a _ResidueMap, which lists f(1..N) mod M without its
-                    values: the CLI's `pow:B` and `nn`
+                    values: the CLI's `pow:B` and `nn` (_power_map)
     plain callable  any other f, such as the CLI's `succ` and an unsplit
-                    `mul:C`
+                    `mul:C` (_mul_map)
 
 Its consumers (time_change_fix, and the membership probes, preimage
 structure and divisibility laws of dynzeta.exponents) go through three
@@ -64,7 +65,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations, islice
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .arith import _split, is_prime, primes_up_to
+from .arith import _check_int, _split, _trial_division, is_prime, primes_up_to
 
 __all__ = [
     "BUMP",
@@ -83,13 +84,6 @@ __all__ = [
 
 BUMP = "g"
 CAP = "h"
-
-
-def _check_int(value, field: str) -> None:
-    """Reject anything but a plain int: int() would truncate 1.5 to 1 and
-    so silently describe a different map."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -130,6 +124,7 @@ _generator = lru_cache(maxsize=4096)(Generator)
 
 
 def eval_generator(gen: Generator, n: int) -> int:
+    _check_int(n, "n")
     if n < 1:
         raise ValueError(f"generators act on n >= 1, got {n}")
     p = gen.prime
@@ -178,6 +173,7 @@ class Word:
 
 
 def eval_word(word: Word, n: int) -> int:
+    _check_int(n, "n")
     if n < 1:
         raise ValueError(f"words act on n >= 1, got {n}")
     for gen in word.gens:
@@ -236,6 +232,7 @@ class _PrimeMaps(NamedTuple):
         """The image of n: each v = v_p(n) goes to entry v of p's table,
         read on into its tail (read); past a table without a tail,
         TableRangeError."""
+        _check_int(n, "n")
         if n < 1:
             raise ValueError(f"the map acts on n >= 1, got {n}")
         out = 1
@@ -368,6 +365,38 @@ class _ResidueMap:
         return self.point(n)
 
 
+def _mul_map(c: int, max_n: int) -> Callable[[int], int]:
+    """n -> c * n, for a request that reads it on 1..max_n: the CLI's
+    `identity` (c = 1) and `mul:C`.
+
+    Its tables are v -> v + v_p(c), the table [v_p(c)] with tail 1, at each
+    prime p of c. c is divided by the primes <= max_n alone, never up to
+    sqrt(c), and division stops once the cofactor r is prime, which is then
+    keyed whatever its size. So the tables, when there are any, are c's
+    full factorization and exact at every N. A composite r > 1 has every
+    prime above max_n and cannot be split that way: the map is then the
+    plain callable n -> c * n.
+    """
+    pairs, r = _trial_division(c, max_n)
+    if r > 1:
+        if not is_prime(r):
+            return lambda n: c * n
+        pairs.append((r, 1))
+    return _PrimeMaps({p: ([e], 1) for p, e in pairs})
+
+
+def _power_map(exponent: Callable[[int], int]) -> _ResidueMap:
+    """n -> n**exponent(n): the CLI's `pow:B` (a constant exponent) and
+    `nn` (n itself). Its point value and its residues mod M come from one
+    rule, power, without a modulus and with M."""
+
+    def power(n: int, modulus: int | None = None) -> int:
+        return pow(n, exponent(n), modulus)
+
+    return _ResidueMap(power,
+                       lambda max_n, modulus: [power(n, modulus) for n in range(1, max_n + 1)])
+
+
 _INVALID_VALUE = "map produced {m!r} at n={n}; expected an integer >= 1"
 
 
@@ -432,6 +461,7 @@ def eval_range(word: Word, max_n: int) -> list[int]:
     the per-prime kernel (_PrimeMaps.values), one pass per prime however
     many generators the word has.
     """
+    _check_int(max_n, "max_n")
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     return word._maps.values(max_n)
@@ -455,6 +485,7 @@ def equal_upto(w1: Word, w2: Word, max_n: int) -> Witness | None:
     over the differing entries (v = 0 gives n = 1), and no list of length
     max_n is built.
     """
+    _check_int(max_n, "max_n")
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     n = w1._maps.first_difference(w2._maps, {}, max_n)
@@ -518,6 +549,10 @@ def _draws(seed: int, length: int, max_prime: int,
     """The generators of random_word(seed), random_word(seed + 1), ... in
     turn, as plain (kind, prime, level) values, the primes sieved once; the
     argument errors come at the first draw."""
+    _check_int(seed, "seed")
+    _check_int(length, "length")
+    _check_int(max_prime, "max_prime")
+    _check_int(max_level, "max_level")
     if length < 0:
         raise ValueError("length must be >= 0")
     primes = primes_up_to(max_prime)

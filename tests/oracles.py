@@ -22,7 +22,9 @@ version of the probes that share one packed transform. The public
 Random.choice and randint draws are the reference version of random_word's
 one-loop sampler, and the fingerprint search (64-point range passes, then
 a scan of the full prefix for every pair in a bucket) is the reference
-version of the relation search on exact per-prime keys.
+version of the relation search on exact per-prime keys. The member shape
+of an exponent table is the reference version of membership_test's
+certificate rule, which reads it through validate_spec.
 """
 
 from fractions import Fraction
@@ -380,6 +382,16 @@ def per_generator_tables(gens, max_n, tables=None):
         else:
             tables[p] = [min(v, level) for v in tables[p]]
     return tables
+
+
+def has_member_shape(table):
+    """Non-decreasing, and constant from the first entry below its index on:
+    the paper's rule for the exponent table of a member on 1..N, stated on
+    its own."""
+    if any(a > b for a, b in zip(table, table[1:])):
+        return False
+    drop = next((v for v, c in enumerate(table) if c < v), len(table))
+    return len(set(table[drop:])) <= 1
 
 
 def spec_tables_upto(functions, max_n):

@@ -86,6 +86,26 @@ def test_valuation_examples(p, n, expected):
     assert valuation(p, n) == expected
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # a float or a bool was read as the number it stands for: is_prime(7.0)
+        # was True, divisors(6.0) gave floats and factorize(True) the
+        # factorization of 1; primes_up_to(10.5) raised TypeError
+        (lambda: is_prime(7.0), "n must be an integer, got 7.0"),
+        (lambda: factorize(True), "n must be an integer, got True"),
+        (lambda: valuation(2, 8.0), "n must be an integer, got 8.0"),
+        (lambda: valuation(2.0, 8), "p must be an integer, got 2.0"),
+        (lambda: divisors(6.0), "n must be an integer, got 6.0"),
+        (lambda: primes_up_to(10.5), "bound must be an integer, got 10.5"),
+    ],
+)
+def test_argument_errors(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_valuation_domain_errors():
     with pytest.raises(ValueError):
         valuation(4, 8)

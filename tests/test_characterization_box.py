@@ -33,7 +33,7 @@ from dynzeta.exponents import (
 )
 from dynzeta.words import normal_form
 
-from oracles import pointwise_membership
+from oracles import has_member_shape, pointwise_membership
 
 ORACLE_MAX_K = 64
 
@@ -55,14 +55,6 @@ def two_prime_box():
 def covered(p, table, max_n):
     """The entries v of table with p**v <= max_n."""
     return [c for v, c in enumerate(table) if p**v <= max_n]
-
-
-def has_member_shape(table):
-    """Non-decreasing, and constant from the first entry below its index on."""
-    if any(a > b for a, b in zip(table, table[1:])):
-        return False
-    drop = next((v for v, c in enumerate(table) if c < v), len(table))
-    return len(set(table[drop:])) <= 1
 
 
 def report_tuple(report):

@@ -387,7 +387,7 @@ def test_numbers_are_checked_before_mul_is_factored(capsys, monkeypatch, argv, c
     def broken(c, max_n):
         raise AssertionError("mul:C was factored")
 
-    monkeypatch.setattr(cli, "_mul_tables", broken)
+    monkeypatch.setattr(cli, "_mul_map", broken)
     argv = [argv[0], "--map", BIG_MUL, *argv[1:]]
     assert run(capsys, *argv) == (2, "", f"error: {library_message(call)}\n")
 

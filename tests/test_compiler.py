@@ -36,6 +36,27 @@ DOUBLING = build_spec({2: ("unbounded", [1, 2, 3])})
 CONSTANT2 = build_spec({2: ("bounded", [1]), 3: ("bounded", [0]), 5: ("bounded", [0])})
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # verify_compile on "1..2.5" or "1..True" answered None, admits(2.5)
+        # answered True, and a float level raised TypeError
+        (lambda: verify_compile(compile_spec(DOUBLING), DOUBLING, 2.5),
+         "max_n must be an integer, got 2.5"),
+        (lambda: verify_compile(compile_spec(DOUBLING), DOUBLING, True),
+         "max_n must be an integer, got True"),
+        (lambda: CompileResult(Word(), {2: 1}).admits(2.5), "n must be an integer, got 2.5"),
+        (lambda: block_gadget(2, 0.5, 2), "level must be an integer, got 0.5"),
+        (lambda: block_gadget(2.0, 0, 2), "prime must be an integer, got 2.0"),
+        (lambda: block_gadget(2, 0, True), "target must be an integer, got True"),
+    ],
+)
+def test_argument_errors(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 class TestBlockGadget:
     def test_single_step(self):
         assert block_gadget(2, 1, 2).gens == (B(2, 1),)

@@ -27,6 +27,7 @@ from dynzeta.words import Generator, Word, eval_generator, eval_range, eval_word
 
 from oracles import (
     divisibility_counterexamples,
+    has_member_shape,
     pointwise_membership,
     pointwise_preimage,
     pointwise_values,
@@ -147,6 +148,11 @@ def unread(n):
          "length must be an integer, got 3.0"),
         (lambda: time_change_fix(unread, FixSource.constant(1), False),
          "length must be an integer, got False"),
+        # spec_from_word tabulated to max_level True, a float max_prime raised
+        # TypeError, and apply_spec gave a float
+        (lambda: spec_from_word(Word(()), 5, True), "max_level must be an integer, got True"),
+        (lambda: spec_from_word(Word(()), 5.5, 2), "max_prime must be an integer, got 5.5"),
+        (lambda: apply_spec(SQUARING, 4.0), "n must be an integer, got 4.0"),
     ],
 )
 def test_argument_errors(call, message):
@@ -523,6 +529,23 @@ table_spec_maps = st.one_of(
 ).map(lambda spec: spec._maps)
 
 
+@st.composite
+def sorted_tables_and_max_n(draw):
+    """A max_n <= 2000 and non-decreasing tables for 1-3 of the primes 2,
+    3, 5 and 7, each of 1-12 entries with values 0-14 and of either shape,
+    an unbounded one long enough to cover the exponents on 1..max_n."""
+    max_n = draw(st.integers(1, 2000))
+    primes = draw(st.lists(st.sampled_from([2, 3, 5, 7]), min_size=1, max_size=3, unique=True))
+    functions = {}
+    for p in primes:
+        shape = draw(st.sampled_from(["bounded", "unbounded"]))
+        covered = len([v for v in range(12) if p**v <= max_n])
+        size = draw(st.integers(covered if shape == "unbounded" else 1, 12))
+        values = draw(st.lists(st.integers(0, 14), min_size=size, max_size=size))
+        functions[p] = (shape, sorted(values))
+    return functions, max_n
+
+
 def outcome(thunk):
     """("ok", result) or ("raised", exception class, message)."""
     try:
@@ -584,6 +607,18 @@ class TestTablePath:
             lambda: divisibility_dict(check_divisibility_properties(plain, max_n))
         )
         assert got == outcome(lambda: divisibility_counterexamples(pointwise_values(plain, max_n)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(sorted_tables_and_max_n())
+    def test_certified_exactly_on_the_member_shape(self, case):
+        # beyond the box: a certificate exactly when every table on 1..max_n
+        # has the member shape, and the probes of a plain callable agree
+        functions, max_n = case
+        spec = build_spec(functions)
+        report = membership_test(spec._maps, 24, max_n)
+        shape = all(map(has_member_shape, spec_tables_upto(functions, max_n).values()))
+        assert (report.certificate is not None) == shape
+        assert report == membership_test(lambda n: apply_spec(spec, n), 24, max_n)
 
     def test_no_value_is_read(self, monkeypatch):
         def refuse(*args):

@@ -7,8 +7,9 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dynzeta"
 
 
-def _imports(path: Path) -> set[str]:
-    """The dynzeta modules the module at path imports, relatively or not."""
+def _imported_names(path: Path) -> set[str]:
+    """The dotted dynzeta names the module at path imports, relatively or
+    not: dynzeta.words._mul_map for `from .words import _mul_map`."""
     names = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
@@ -16,7 +17,12 @@ def _imports(path: Path) -> set[str]:
         elif isinstance(node, ast.ImportFrom):
             module = ".".join(filter(None, ["dynzeta" if node.level else "", node.module]))
             names += [f"{module}.{alias.name}" for alias in node.names]
-    return {name.split(".")[1] for name in names if name.startswith("dynzeta.")}
+    return {name for name in names if name.startswith("dynzeta.")}
+
+
+def _imports(path: Path) -> set[str]:
+    """The dynzeta modules the module at path imports, relatively or not."""
+    return {name.split(".")[1] for name in _imported_names(path)}
 
 
 def test_each_module_imports_only_the_modules_listed_before_it():
@@ -32,3 +38,11 @@ def test_each_module_imports_only_the_modules_listed_before_it():
         assert _imports(modules[name]) <= above, (name, _imports(modules[name]) - above)
     assert "exponents" not in _imports(modules["series"])
     assert "series" not in _imports(modules["exponents"])
+
+
+def test_named_maps_are_built_in_words():
+    """The CLI maps names to the constructors in words: it imports nothing
+    from arith, and neither map representation from words."""
+    names = _imported_names(PACKAGE / "cli.py")
+    assert "arith" not in _imports(PACKAGE / "cli.py")
+    assert not names & {"dynzeta.words._PrimeMaps", "dynzeta.words._ResidueMap"}

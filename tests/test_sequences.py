@@ -182,6 +182,20 @@ def test_reg_rejects_zero():
         reg(0, 5)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # reg(True, 3) gave [True, True, True]; a float length raised TypeError
+        (lambda: reg(True, 3), "orbit length must be an integer, got True"),
+        (lambda: reg(2, 3.5), "prefix length must be an integer, got 3.5"),
+    ],
+)
+def test_reg_argument_errors(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_disjoint_union_examples():
     assert disjoint_union(reg(2, 6), reg(3, 6)) == [0, 2, 3, 2, 0, 5]
     assert disjoint_union([1, 1], [1, 1]) == [2, 2]

@@ -81,6 +81,21 @@ class TestSources:
             FixSource("bits", lambda n: n == 1).prefix(2)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # order True gave an order-1 series; a float order raised TypeError
+        (lambda: zeta_from_fix(FixSource.geometric(2), True), "order must be an integer, got True"),
+        (lambda: zeta_from_fix(FixSource.geometric(2), 2.5), "order must be an integer, got 2.5"),
+        (lambda: Series.of([1], 2.5), "order must be an integer, got 2.5"),
+    ],
+)
+def test_argument_errors(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 class TestZetaFromFix:
     def test_full_shift_is_geometric_series(self):
         assert ints(zeta_from_fix(FixSource.geometric(2), 5)) == [1, 2, 4, 8, 16, 32]

@@ -231,6 +231,30 @@ class TestEvalWord:
             call()
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            # a float or a bool was read as the number it stands for:
+            # equal_upto(w, w, 2.5) agreed on "1..2.5", eval_range(w, True)
+            # gave [2], and eval_word and a table map's point rule gave floats;
+            # a float range or length raised TypeError
+            (lambda: equal_upto(Word(), Word(), 2.5), "max_n must be an integer, got 2.5"),
+            (lambda: eval_range(Word((B(2, 0),)), True), "max_n must be an integer, got True"),
+            (lambda: eval_range(Word((B(2, 0),)), 3.5), "max_n must be an integer, got 3.5"),
+            (lambda: eval_word(Word((B(2, 0),)), 2.0), "n must be an integer, got 2.0"),
+            (lambda: eval_generator(B(2, 0), 2.0), "n must be an integer, got 2.0"),
+            (lambda: Word((B(2, 0),)).as_map()(2.0), "n must be an integer, got 2.0"),
+            (lambda: random_word(1, 2.5, 5, 2), "length must be an integer, got 2.5"),
+            (lambda: random_word(1, 2, 5.0, 2), "max_prime must be an integer, got 5.0"),
+            (lambda: random_word(1, 2, 5, True), "max_level must be an integer, got True"),
+            (lambda: random_word(1.5, 2, 5, 2), "seed must be an integer, got 1.5"),
+        ],
+    )
+    def test_rejects_non_integer_arguments(self, call, message):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+
 
 class TestPrimeMapTables:
     # a word's tables are folded from its generators; the reference
