@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from decimal import localcontext
 from functools import cache
 from typing import Callable
 
@@ -32,7 +34,7 @@ from .exponents import (
     preimage_structure,
     validate_spec,
 )
-from .sequences import check_realizable
+from .sequences import _mobius_sieve, _verdict
 from .series import FixSource, is_zeta, time_change_fix, zeta_from_fix
 from .words import Generator, Word, _coincidences, _mul_map, _power_map, eval_word, normal_form
 
@@ -44,9 +46,14 @@ class UsageError(ValueError):
 
 
 def _load_json(path: str):
-    """The JSON document in path. An object that repeats a key is malformed:
-    json.load would keep only its last entry, so the file would silently say
-    something else."""
+    return _load_json_and_size(path)[0]
+
+
+def _load_json_and_size(path: str) -> tuple[object, int]:
+    """The JSON document in path, and the file's size in bytes. An object
+    that repeats a key is malformed: json.load would keep only its last
+    entry, so the file would silently say something else. So is a document
+    nested past the interpreter's recursion limit."""
 
     def unique_keys(pairs: list[tuple[str, object]]) -> dict:
         obj = dict(pairs)
@@ -60,11 +67,13 @@ def _load_json(path: str):
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=unique_keys)
+            return json.load(fh, object_pairs_hook=unique_keys), os.fstat(fh.fileno()).st_size
     except OSError as err:
         raise UsageError(f"cannot read {path}: {err}") from None
     except json.JSONDecodeError as err:
         raise UsageError(f"{path} is not valid JSON: {err}") from None
+    except RecursionError:
+        raise UsageError(f"{path} nests its JSON too deeply to read") from None
 
 
 def parse_map(text: str, max_n: int) -> Callable[[int], int]:
@@ -137,13 +146,16 @@ def _verdict_json(verdict) -> dict:
         "verdict": "fail",
         "failure": verdict.failure,
         "index": verdict.index,
-        "value": str(verdict.value),
+        # a long count file's value is a Decimal: written as an int, it
+        # meets int's digit limit as every other file's value does
+        "value": str(int(verdict.value)),
     }
 
 
 def cmd_realizable_check(args) -> tuple[int, dict]:
-    entries = jsonio.sequence_from_json(_load_json(args.sequence))
-    verdict = check_realizable(entries)
+    counts = jsonio._counts_from_json(*_load_json_and_size(args.sequence))
+    with localcontext(jsonio._EXACT):
+        verdict = _verdict(_mobius_sieve(counts))
     return (0 if verdict.passed else 1), _verdict_json(verdict)
 
 

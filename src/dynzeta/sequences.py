@@ -71,11 +71,13 @@ class RealizabilityError(ValueError):
         super().__init__(verdict.describe())
 
 
-def _validate_counts(entries: Sequence[int], what: str = "sequence") -> None:
+def _validate_counts(entries: Sequence[int], what: str = "sequence", kinds=int) -> None:
+    """Reject an empty prefix and any entry that is not a non-negative
+    number of the given kinds (a bool is no number)."""
     if len(entries) < 1:
         raise ValueError(f"{what} must have length >= 1")
     for i, a in enumerate(entries):
-        if not isinstance(a, int) or isinstance(a, bool) or a < 0:
+        if not isinstance(a, kinds) or isinstance(a, bool) or a < 0:
             raise ValueError(f"{what} entry {i + 1} is {a!r}; expected a non-negative integer")
 
 
@@ -95,7 +97,10 @@ def mobius_transform(entries: Sequence[int]) -> list[int]:
 
 def _mobius_sieve(entries: Sequence[int]) -> list[int]:
     """mobius_transform's sieve, with no check on the entries: for callers
-    that build their integers themselves (the packed membership probes)."""
+    that build their numbers themselves. These are the packed membership
+    probes, and the realizability check of a long count file, whose entries
+    are exact Decimals (see dynzeta.jsonio); the sieve only subtracts, so
+    under an exact decimal context it gives the same numbers."""
     out = [0, *entries]  # 1-based
     n_max = len(entries)
     for p in primes_up_to(n_max):

@@ -1,9 +1,14 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dynzeta import cli
+from dynzeta import cli, jsonio
 from dynzeta.cli import main
 from dynzeta.exponents import (
     apply_spec,
@@ -13,6 +18,7 @@ from dynzeta.exponents import (
 )
 from dynzeta.series import FixSource, time_change_fix
 from dynzeta.jsonio import compile_result_from_json, spec_from_json
+from oracles import divisor_sum_transform
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "demos" / "specs"
 
@@ -473,3 +479,136 @@ def test_repeated_keys_exit_2_naming_the_file_and_key(capsys, tmp_path, argv, te
     path.write_text(text)
     argv = [arg.format(file=path) for arg in argv]
     assert run(capsys, *argv) == (2, "", f"error: {path} repeats the key {key!r} in one object\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["realizable-check", "{file}"],
+        ["zeta-check", "{file}"],
+        ["word-eval", "{file}", "--n", "3"],
+        ["word-normal-form", "{file}"],
+        ["spec-validate", "{file}"],
+        ["spec-compile", "{file}"],
+        ["apply", "--map", "word:{file}", "--source", "reg:1", "--max-n", "3"],
+        ["apply", "--map", "spec:{file}", "--source", "reg:1", "--max-n", "3"],
+        ["zeta-from-fix", "--source", "table:{file}", "--order", "3"],
+    ],
+    ids=lambda argv: argv[0] if "{file}" in argv[1] else argv[2].split(":")[0],
+)
+def test_deeply_nested_json_exits_2_with_one_line(capsys, tmp_path, argv):
+    # json.load recurses once per level: past the recursion limit the file
+    # is malformed input, not the library breaking (exit 3)
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    argv = [arg.format(file=path) for arg in argv]
+    assert run(capsys, *argv) == (2, "", f"error: {path} nests its JSON too deeply to read\n")
+
+
+# -- a long count file is read as exact decimals: both paths give one answer --
+
+ARABIC_DIGITS = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+ENCODINGS = {
+    "string": str,
+    "number": lambda v: v if abs(v) < 10**18 else str(v),
+    "plus": lambda v: f"+{v}",
+    "spaced": lambda v: f" {v}\n",
+    "underscored": lambda v: f"{str(v)[:1]}_{str(v)[1:]}" if len(str(v)) > 1 else str(v),
+    "arabic": lambda v: str(v).translate(ARABIC_DIGITS),
+    "leading-zeros": lambda v: f"00{v}",
+}
+
+
+def run_quiet(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def realizable_check_both_ways(path, entries) -> tuple[int, str, str]:
+    """realizable-check on a file of these entries, as ints, as exact
+    decimals, and as the file padded past the switch; the three must agree."""
+    text = json.dumps({"n": len(entries), "entries": entries})
+    path.write_text(text)
+    with patch.object(jsonio, "_DECIMAL_BYTES_PER_ENTRY", 10**12):
+        as_ints = run_quiet("realizable-check", str(path))
+    with patch.object(jsonio, "_DECIMAL_BYTES_PER_ENTRY", 0):
+        as_decimals = run_quiet("realizable-check", str(path))
+    path.write_text(text + " " * (jsonio._DECIMAL_BYTES_PER_ENTRY + 1) * len(entries))
+    padded = run_quiet("realizable-check", str(path))
+    assert as_ints == as_decimals == padded
+    return as_ints
+
+
+def expected_check(entries) -> tuple[int, str, str] | None:
+    """The oracle's answer for entries int() reads, else None."""
+    try:
+        values = [e if isinstance(e, int) else int(e, 10) for e in entries]
+    except ValueError:
+        return None
+    for i, v in enumerate(values, start=1):
+        if v < 0:
+            return 2, "", f"error: sequence entry {i} is {v}; expected a non-negative integer\n"
+    for n, b in enumerate(divisor_sum_transform(values), start=1):
+        if b < 0 or b % n:
+            payload = {"verdict": "fail", "failure": "sign" if b < 0 else "dold",
+                       "index": n, "value": str(b)}
+            return 1, json.dumps(payload, indent=2) + "\n", ""
+    return 0, json.dumps({"verdict": "pass"}, indent=2) + "\n", ""
+
+
+@st.composite
+def count_files(draw):
+    """Entries a_n = sum over d | n of d * O_d, maybe made to fail the sign
+    condition (or go negative) or the Dold congruence at one index, each
+    written in one of int()'s forms."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    digits = draw(st.sampled_from([1, 30, 1200]))
+    orbits = [draw(st.integers(min_value=0, max_value=10**digits)) for _ in range(n)]
+    values = [sum(d * orbits[d - 1] for d in range(1, m + 1) if m % d == 0) for m in range(1, n + 1)]
+    change = draw(st.sampled_from(["none", "sign", "dold", "zeros"]))
+    if change == "zeros":
+        values = [0] * n
+    elif change != "none" and n > 1:
+        j = draw(st.integers(min_value=2, max_value=n))
+        values[j - 1] += 1 if change == "dold" else -(j * orbits[j - 1] + 1)
+    return [ENCODINGS[draw(st.sampled_from(sorted(ENCODINGS)))](v) for v in values]
+
+
+@settings(max_examples=60, deadline=None)
+@given(count_files())
+def test_long_count_files_read_as_decimals_give_the_same_bytes(entries):
+    with tempfile.TemporaryDirectory() as tmp:
+        result = realizable_check_both_ways(Path(tmp) / "counts.json", entries)
+    expected = expected_check(entries)
+    if expected is not None:
+        assert result == expected
+    else:
+        assert result[0] == 2 and "is not a decimal integer" in result[2]
+
+
+X = 6 * 10**4299  # 4300 digits, divisible by 6
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        (["9" * 4300], None),
+        (["7" * 4300, "7" * 4300, "+5", " 7\n", "1_000", "٣"], None),
+        (["9" * 4300, "9" * 4301], "error: entry 2 is not a decimal integer: '999"),
+        (["9" * 4300, "-3"], "error: sequence entry 2 is -3; expected a non-negative integer"),
+        (["9" * 4300, "1 2"], "error: entry 2 is not a decimal integer: '1 2'"),
+        # b_6 = -2 X has 4301 digits, one past the limit on writing it
+        (["0", str(X), str(X), str(X), "0", "0"], "error: Exceeds the limit (4300 digits)"),
+    ],
+    ids=["4300-digits", "int-forms", "4301-digits", "negative", "inner-space", "long-value"],
+)
+def test_edge_counts_give_the_same_bytes_both_ways(tmp_path, entries, message):
+    result = realizable_check_both_ways(tmp_path / "counts.json", entries)
+    if message is None:
+        assert result == expected_check(entries)
+    else:
+        code, out, err = result
+        assert (code, out) == (2, "")
+        assert err.startswith(message) and err.count("\n") == 1 and len(err) < 300

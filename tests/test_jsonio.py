@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from dynzeta.compiler import CompileResult
 from dynzeta.exponents import ExponentFunction, ExponentSpec
 from dynzeta.jsonio import (
+    _DECIMAL_BYTES_PER_ENTRY,
+    _counts_from_json,
     compile_result_from_json,
     compile_result_to_json,
     sequence_from_json,
@@ -146,3 +149,39 @@ def test_compile_result_round_trip():
     back = compile_result_from_json(obj)
     assert back.word == result.word
     assert back.agreement == result.agreement
+
+
+def test_a_long_bad_value_is_quoted_by_its_prefix_and_length():
+    # one over-limit or malformed entry must not come back whole on stderr;
+    # a value of up to 100 characters is quoted in full, as before
+    cases = [
+        (sequence_from_json, {"entries": ["9" * 5000]},
+         f"entry 1 is not a decimal integer: {'9' * 100!r}... (5000 characters)"),
+        (sequence_from_json, {"entries": ["1", "x" * 101]},
+         f"entry 2 is not a decimal integer: {'x' * 100!r}... (101 characters)"),
+        (sequence_from_json, {"entries": ["x" * 100]},
+         f"entry 1 is not a decimal integer: {'x' * 100!r}"),
+        (sequence_from_json, {"entries": [[1] * 1000]},
+         f"entry 1 must be an integer or decimal string, got {str([1] * 34)[:100]}... "
+         f"(3000 characters)"),
+        (series_from_json, {"coeffs": ["1/" + "0" * 200]},
+         f"coefficient 0 is not a rational: {('1/' + '0' * 98)!r}... (202 characters)"),
+    ]
+    for read, obj, message in cases:
+        with pytest.raises(ValueError) as err:
+            read(obj)
+        assert str(err.value) == message
+
+
+def test_long_count_documents_read_plain_digit_strings_as_decimals():
+    # a long document is read in place, so each call gets its own object
+    def obj():
+        return {"entries": ["12", 5, "+5", " 7", "1_000", "0012", "٣", "40"]}
+
+    long = _counts_from_json(obj(), (_DECIMAL_BYTES_PER_ENTRY + 1) * 8)
+    short = _counts_from_json(obj(), _DECIMAL_BYTES_PER_ENTRY * 8)
+    assert long == short == sequence_from_json(obj()) == [12, 5, 5, 7, 1000, 12, 3, 40]
+    assert [type(a) for a in short] == [int] * 8
+    assert [type(a) for a in long] == [Decimal, int, int, int, int, Decimal, int, Decimal]
+    with pytest.raises(ValueError, match="sequence entry 2 is -1; expected a non-negative"):
+        _counts_from_json({"entries": ["1", "-1"]}, 10**6)
